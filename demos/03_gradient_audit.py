@@ -8,7 +8,8 @@ Run from the repository root:
 Three stages:
 
 1. differentiate a small expression by hand and compare against the tape;
-2. spot-check a kinked op (pairwise minimum) at and away from its kink;
+2. spot-check kinked ops at their kinks: the pairwise minimum, and the
+   fused cone-entity distance at aperture 0;
 3. run the full-loss gradient audit the acceptance suite relies on —
    analytic gradients vs central differences through projection,
    intersection, negation and union paths of the real model.
@@ -19,6 +20,7 @@ import time
 import numpy as np
 
 from conequery import autodiff as ad
+from conequery.model import ConeBatch, cone_entity_distance
 from conequery.training import gradient_check_model
 
 
@@ -46,6 +48,28 @@ def stage_2() -> None:
         b = tape.leaf([0.7])
         tape.backward(ad.total(ad.minimum(a, b)))
         print(f"  min(a={a_val}, b=0.7): da={a.grad[0]:.0f} db={b.grad[0]:.0f}  ({note})")
+
+    # A point cone (aperture 0 in dimension 0): upper and lower boundary tie,
+    # so the distance has a kink in that aperture coordinate.
+    axis, aperture = np.array([[0.4, -1.1]]), np.array([[0.0, 0.9]])
+    entity = np.array([[1.3, 2.0]])
+
+    def dist(a, p, e):
+        return ad.total(cone_entity_distance(ConeBatch(a, p), e, 0.5))
+
+    tape = ad.Tape()
+    leaves = [tape.leaf(x) for x in (axis, aperture, entity)]
+    tape.backward(dist(*leaves))
+    h = 1e-6
+    base = float(dist(axis, aperture, entity))
+    right = (float(dist(axis, aperture + [[h, 0.0]], entity)) - base) / h
+    left = (base - float(dist(axis, aperture - [[h, 0.0]], entity))) / h
+    worst = ad.grad_check(dist, [axis, aperture, entity], subgradient=True)
+    print(f"  fused cone-entity distance at aperture 0: d/d(aperture) = "
+          f"{leaves[1].grad[0, 0]:+.6f}, one-sided slopes [{min(left, right):+.6f}, "
+          f"{max(left, right):+.6f}]")
+    print(f"  subgradient check over every input coordinate: {worst:.1e}"
+          f"  ({'PASS' if worst < 1e-4 else 'FAIL'} at 1e-4)")
 
 
 def stage_3() -> None:

@@ -11,6 +11,19 @@ Subgradient conventions (fixed, documented):
   |x| at 0 -> 0;  pairwise min ties -> first argument;  reduced min ties ->
   first index;  clamp outside the range -> 0;  ReLU at 0 -> 0;  angle wrap
   -> identity.
+
+A fused op (``fused``) records one tape node for a whole formula over several
+inputs; its hand-written VJP returns every input's gradient in one call and
+keeps the conventions above.  The one in use is the cone-entity distance of
+``model.cone_entity_distance``,
+  min(L1(upper, e), L1(lower, e)) + lam * min(L1(axis, e), L1(upper, axis)),
+with L1 the summed |cos a - cos b| + |sin a - sin b| over dimensions:
+  each |.| has slope 0 where its argument is exactly 0 (an entity on a
+  boundary or on the axis, an aperture of 0);  outside-min ties (aperture 0
+  or 2*pi among them) go to the upper boundary and inside-min ties to the
+  axis term, the first argument of each;  the aperture enters through
+  upper/lower = axis +/- aperture/2, so it gets half the upper gradient minus
+  half the lower one.
 """
 
 from __future__ import annotations
@@ -127,6 +140,32 @@ def _result(out: np.ndarray, inputs: Sequence, vjps: Sequence[Callable | None]):
         (x, fn) for x, fn in zip(inputs, vjps) if isinstance(x, Tensor) and fn is not None
     )
     return Tensor(out, tape, parents)
+
+
+def fused(out: np.ndarray, inputs: Sequence, vjp: Callable):
+    """Record a multi-input op whose gradients are computed together.
+
+    ``vjp(g)`` maps the output gradient to a tuple holding one gradient per
+    entry of ``inputs``, shaped like that input (None where the input is no
+    Tensor).  It runs once per incoming gradient, however many parents pull
+    from it.  With no Tensor among the inputs this returns ``out`` as is.
+    """
+    out = np.asarray(out, dtype=np.float64)
+    tape = _tape_of(*inputs)
+    if tape is None:
+        return out
+    live = [i for i, x in enumerate(inputs) if isinstance(x, Tensor)]
+    pending: dict[int, np.ndarray] = {}
+
+    def make_pull(i):
+        def pull(g):
+            if not pending:  # first parent of this backward visit
+                grads = vjp(g)
+                pending.update((j, grads[j]) for j in live)
+            return pending.pop(i)
+        return pull
+
+    return Tensor(out, tape, tuple((inputs[i], make_pull(i)) for i in live))
 
 
 # ---------------------------------------------------------------------------

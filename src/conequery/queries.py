@@ -171,9 +171,14 @@ def _count_slots(node: Node) -> tuple[int, int]:
     return a, r
 
 
+_SLOTS: dict[str, tuple[int, int]] = {
+    tag: _count_slots(template) for tag, template in STRUCTURE_TEMPLATES.items()
+}
+
+
 def structure_slots(tag: str) -> tuple[int, int]:
     """Return (number of anchor slots, number of relation slots) for a tag."""
-    return _count_slots(STRUCTURE_TEMPLATES[tag])
+    return _SLOTS[tag]
 
 
 def ground(template: Node, anchors: Sequence[int], relations: Sequence[int]) -> Node:
@@ -320,6 +325,9 @@ def answer_symbolic(node: Node, graph: KnowledgeGraph) -> frozenset[int]:
 
     Negation is the complement within the graph's known entity ids
     (the closed-domain reading: every individual is one of the known ids).
+    An intersection with at least one non-negated child never builds that
+    complement: every answer set lies inside the known ids, so it subtracts
+    the negated children's answers from the intersection of the others.
     """
     if isinstance(node, Nominal):
         if not (0 <= node.entity < graph.n_entities):
@@ -328,16 +336,27 @@ def answer_symbolic(node: Node, graph: KnowledgeGraph) -> frozenset[int]:
     if isinstance(node, Projection):
         if not (0 <= node.relation < graph.n_relations):
             raise ValueError(f"unknown relation id {node.relation}")
+        if isinstance(node.child, Nominal):
+            answer_symbolic(node.child, graph)  # id range check
+            return frozenset(graph.successors(node.child.entity, node.relation))
         base = answer_symbolic(node.child, graph)
         out: set[int] = set()
         for e in base:
             out.update(graph.successors(e, node.relation))
         return frozenset(out)
     if isinstance(node, Intersection):
-        parts = [answer_symbolic(c, graph) for c in node.children]
-        acc = parts[0]
-        for p in parts[1:]:
+        subtract = not all(isinstance(c, Negation) for c in node.children)
+        kept, removed = [], []
+        for c in node.children:
+            if subtract and isinstance(c, Negation):
+                removed.append(answer_symbolic(c.child, graph))
+            else:
+                kept.append(answer_symbolic(c, graph))
+        acc = kept[0]
+        for p in kept[1:]:
             acc &= p
+        for p in removed:
+            acc -= p
         return acc
     if isinstance(node, Union):
         acc = frozenset()

@@ -167,13 +167,17 @@ def sample_negatives(instance: QueryInstance, k: int, rng: np.random.Generator,
     """k entities drawn uniformly from those that do not answer the query.
 
     Draws without replacement while the complement is large enough, with
-    replacement otherwise.  Raises when every entity is an answer.
+    replacement otherwise.  Raises when every entity is an answer or an
+    answer id lies outside [0, n_entities).
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    known = np.unique(np.array(instance.easy + instance.hard, dtype=np.int64))
-    complement = np.setdiff1d(np.arange(n_entities, dtype=np.int64), known,
-                              assume_unique=True)
+    known = np.array(instance.easy + instance.hard, dtype=np.int64)
+    if known.size and (known.min() < 0 or known.max() >= n_entities):
+        raise ValueError(f"answer id out of range for {n_entities} entities")
+    is_negative = np.ones(n_entities, dtype=bool)
+    is_negative[known] = False
+    complement = np.flatnonzero(is_negative)
     if complement.size == 0:
         raise ValueError("every entity answers this query; no negatives exist")
     return rng.choice(complement, size=k, replace=complement.size < k)

@@ -20,6 +20,7 @@ from conequery.cones import (
     rotate,
     wrap_angle,
 )
+from conequery import autodiff as ad
 from conequery import conditions
 
 
@@ -318,3 +319,64 @@ def naive_filtered_rank(distances, answer, known):
     candidates = [e for e in range(len(distances)) if e == answer or e not in known]
     order = sorted(candidates, key=lambda e: (distances[e], 0 if e != answer else 1))
     return order.index(answer) + 1
+
+
+# ---------------------------------------------------------------------------
+# the cone-entity distance composed from autodiff primitives, one tape node
+# per elementary operation: the reference for the fused op in model.py
+# ---------------------------------------------------------------------------
+
+def _point_l1(theta_a, theta_b):
+    """L1 distance between unit-circle points given angle arrays, summed over
+    the trailing dimension axis (i.e. over all 2d real coordinates)."""
+    dcos = ad.absval(ad.subtract(ad.cos(theta_a), ad.cos(theta_b)))
+    dsin = ad.absval(ad.subtract(ad.sin(theta_a), ad.sin(theta_b)))
+    return ad.total(ad.add(dcos, dsin), axis=-1)
+
+
+def composed_cone_entity_distance(cone, entity_angles, lam: float):
+    """outside + lam * inside, written out formula by formula:
+    outside = min(L1 to the upper boundary, L1 to the lower boundary),
+    inside = min(L1 to the axis, L1 between upper boundary and axis)."""
+    half = ad.multiply(cone.aperture, 0.5)
+    upper = ad.add(cone.axis, half)
+    lower = ad.subtract(cone.axis, half)
+    outside = ad.minimum(
+        _point_l1(upper, entity_angles), _point_l1(lower, entity_angles)
+    )
+    inside = ad.minimum(
+        _point_l1(cone.axis, entity_angles), _point_l1(upper, cone.axis)
+    )
+    return ad.add(outside, ad.multiply(inside, float(lam)))
+
+
+# ---------------------------------------------------------------------------
+# the symbolic answerer that builds every negation's complement: the
+# reference for queries.answer_symbolic
+# ---------------------------------------------------------------------------
+
+def complement_answers(node, graph) -> frozenset:
+    """Bottom-up set evaluation in which each Negation is the complement of
+    its child within range(n_entities) and an Intersection intersects all of
+    its children's sets, negated or not."""
+    from conequery.queries import Intersection, Negation, Nominal, Projection, Union
+
+    if isinstance(node, Nominal):
+        if not (0 <= node.entity < graph.n_entities):
+            raise ValueError(f"unknown entity id {node.entity}")
+        return frozenset((node.entity,))
+    if isinstance(node, Projection):
+        if not (0 <= node.relation < graph.n_relations):
+            raise ValueError(f"unknown relation id {node.relation}")
+        out: set[int] = set()
+        for e in complement_answers(node.child, graph):
+            out.update(graph.successors(e, node.relation))
+        return frozenset(out)
+    if isinstance(node, Intersection):
+        parts = [complement_answers(c, graph) for c in node.children]
+        return frozenset.intersection(*parts)
+    if isinstance(node, Union):
+        return frozenset().union(*(complement_answers(c, graph) for c in node.children))
+    if isinstance(node, Negation):
+        return frozenset(range(graph.n_entities)) - complement_answers(node.child, graph)
+    raise ValueError(f"unknown AST node: {node!r}")

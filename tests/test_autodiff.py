@@ -116,6 +116,28 @@ def test_gradient_accumulates_across_reuse():
     assert x.grad == pytest.approx([5.0])
 
 
+def test_fused_op_runs_one_vjp_per_incoming_gradient():
+    calls = []
+
+    def product(a, b, c):
+        av, bv = ad.values_of(a), ad.values_of(b)
+
+        def vjp(g):
+            calls.append(g.copy())
+            return g * bv, g * av, None
+
+        return ad.fused(av * bv, (a, b, c), vjp)
+
+    assert product(np.array([2.0]), np.array([3.0]), None).tolist() == [6.0]
+    assert calls == []
+    tape = ad.Tape()
+    x, y = leaf(tape, 2.0), leaf(tape, 3.0)
+    z = product(x, y, np.array([7.0]))
+    tape.backward(ad.total(ad.add(z, ad.multiply(z, 2.0))))
+    assert x.grad.tolist() == [9.0] and y.grad.tolist() == [6.0]
+    assert len(calls) == 1 and calls[0].tolist() == [3.0]
+
+
 def test_gather_scatter_adds():
     tape = ad.Tape()
     table = tape.leaf(np.arange(6.0).reshape(3, 2))

@@ -1,11 +1,13 @@
 """Tests for the cone-embedding model operators, distances, and accounting."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import conequery.autodiff as ad
+import conequery.model as model
 from conequery.cones import (
     Cone,
     Rotation,
@@ -45,7 +47,7 @@ from conequery.queries import (
     structure_slots,
 )
 
-from _helpers import angle_dist
+from _helpers import angle_dist, composed_cone_entity_distance
 
 
 def toy_store(n_entities=30, n_relations=4, d=6, seed=0, **kw) -> ParameterStore:
@@ -72,6 +74,29 @@ def test_nominal_distance_to_own_entity_is_zero():
     cone = nominal_cone(m, [5])
     e = entity_points(m, [5])
     assert cone_entity_distance(cone, e, lam=0.3)[0] == 0.0
+
+
+@pytest.mark.parametrize("id_shape", [(4,), (8, 6)])
+def test_entity_points_wrap_order_is_invisible(id_shape):
+    # (4,) gathers then wraps; (8, 6) has more ids than the 30 table rows,
+    # so the table is wrapped first.  Values and gradients must not change.
+    store = toy_store()
+    rng = np.random.default_rng(3)
+    store.arrays["entity_axis"] += rng.integers(-3, 4, size=(30, 1)) * TWO_PI
+    ids = rng.integers(30, size=id_shape)
+    weights = rng.normal(size=id_shape + (store.d,))
+
+    def run(points):
+        tape = ad.Tape()
+        m = store.tensors(tape)
+        out = points(m)
+        tape.backward(ad.total(ad.multiply(out, weights)))
+        return out.values, m.entity_axis.grad
+
+    got = run(lambda m: entity_points(m, ids))
+    want = run(lambda m: ad.wrap(ad.gather(m.entity_axis, ids)))
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    assert np.array_equal(entity_points(store.tensors(), ids), want[0])
 
 
 def test_entity_ids_validated():
@@ -381,6 +406,159 @@ def test_dnf_distance_minimum_semantics():
     assert np.all(both <= da + 1e-15)
     with pytest.raises(ValueError):
         dnf_entity_distance([], points, lam=0.2)
+
+
+# The three layouts the program feeds the distance: training positives
+# ((b, d) vs (b, d)), training negatives ((b, 1, d) vs (b, n, d)) and
+# evaluation ranking ((chunk, 1, d) vs (n_entities, d)).
+LAYOUTS = {
+    "positives": ((16, 8), (16, 8)),
+    "negatives": ((16, 1, 8), (16, 5, 8)),
+    "ranking": ((6, 1, 8), (37, 8)),
+}
+
+
+def _random_distance_inputs(rng, cone_shape, entity_shape):
+    return (rng.uniform(-PI, PI, size=cone_shape), rng.uniform(0.0, TWO_PI, size=cone_shape),
+            rng.uniform(-PI, PI, size=entity_shape))
+
+
+def _distance_grads(distance, axis, aperture, entity, weights, lam):
+    tape = ad.Tape()
+    leaves = [tape.leaf(x) for x in (axis, aperture, entity)]
+    out = distance(ConeBatch(leaves[0], leaves[1]), leaves[2], lam)
+    tape.backward(ad.total(ad.multiply(out, weights)))
+    return [leaf.grad for leaf in leaves]
+
+
+def _assert_grads_close(got, want):
+    """Each gradient within 1e-12 of the reference, relative to its largest entry."""
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w))
+
+
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+def test_fused_distance_forward_equals_composed_reference(layout):
+    rng = np.random.default_rng(21)
+    axis, aperture, entity = _random_distance_inputs(rng, *LAYOUTS[layout])
+    fused = cone_entity_distance(ConeBatch(axis, aperture), entity, 0.3)
+    reference = composed_cone_entity_distance(ConeBatch(axis, aperture), entity, 0.3)
+    assert fused.shape == reference.shape
+    assert np.array_equal(fused, reference)
+
+
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+def test_fused_distance_gradients_match_composed_reference(layout):
+    rng = np.random.default_rng(22)
+    inputs = _random_distance_inputs(rng, *LAYOUTS[layout])
+    cone_shape, entity_shape = LAYOUTS[layout]
+    weights = rng.normal(size=np.broadcast_shapes(cone_shape, entity_shape)[:-1])
+    _assert_grads_close(_distance_grads(cone_entity_distance, *inputs, weights, 0.3),
+                        _distance_grads(composed_cone_entity_distance, *inputs, weights, 0.3))
+
+
+def _kink_case(name):
+    """(axis, aperture, entity) of shape (2, 2) placing one kink of the
+    distance exactly at the evaluation point."""
+    rng = np.random.default_rng(23)
+    axis = rng.uniform(-PI, PI, size=(2, 2))
+    aperture = rng.uniform(0.2, 2.0, size=(2, 2))
+    entity = rng.uniform(-PI, PI, size=(2, 2))
+    if name == "aperture_zero":
+        aperture[:, 0] = 0.0
+    elif name == "aperture_full":
+        aperture[:, 1] = TWO_PI
+    elif name == "entity_on_boundary":
+        entity[:, 0] = axis[:, 0] + aperture[:, 0] * 0.5
+    elif name == "upper_lower_tie":
+        # mirrored dimensions: L1 to upper and to lower sum the same terms
+        axis[:] = 0.0
+        aperture[:, 1] = aperture[:, 0]
+        entity[:, 0] = 0.3
+        entity[:, 1] = -0.3
+    elif name == "axis_upper_to_axis_tie":
+        # L1(axis, e) and L1(upper, axis) sum the same two terms
+        axis[:] = 0.0
+        aperture[:, 0], aperture[:, 1] = 1.0, 0.6
+        entity[:, 0] = aperture[:, 1] * 0.5
+        entity[:, 1] = aperture[:, 0] * 0.5
+    return axis, aperture, entity
+
+
+@pytest.mark.parametrize("kink", ["aperture_zero", "aperture_full", "entity_on_boundary",
+                                  "upper_lower_tie", "axis_upper_to_axis_tie"])
+def test_fused_distance_subgradients_at_kinks(kink):
+    axis, aperture, entity = _kink_case(kink)
+    lam = 0.7
+    upper, lower = axis + aperture * 0.5, axis - aperture * 0.5
+
+    def l1(a, b):
+        return np.sum(np.abs(np.cos(a) - np.cos(b)) + np.abs(np.sin(a) - np.sin(b)), axis=-1)
+
+    if kink == "upper_lower_tie":
+        assert np.array_equal(l1(upper, entity), l1(lower, entity))
+    if kink == "axis_upper_to_axis_tie":
+        assert np.array_equal(l1(axis, entity), l1(upper, axis))
+    dist = cone_entity_distance(ConeBatch(axis, aperture), entity, lam)
+    assert np.array_equal(dist, composed_cone_entity_distance(ConeBatch(axis, aperture),
+                                                              entity, lam))
+
+    weights = np.ones(dist.shape)
+    _assert_grads_close(
+        _distance_grads(cone_entity_distance, axis, aperture, entity, weights, lam),
+        _distance_grads(composed_cone_entity_distance, axis, aperture, entity, weights, lam))
+
+    def f(a, p, e):
+        return ad.total(cone_entity_distance(ConeBatch(a, p), e, lam))
+
+    assert ad.grad_check(f, [axis, aperture, entity], subgradient=True) < 1e-4
+
+
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+@pytest.mark.parametrize("n_entities", [13, 3, 1])
+def test_tiled_distance_equals_single_block(monkeypatch, layout, n_entities):
+    # 5 entity rows per tile: 13 leaves a partial tile, 3 and 1 fit in one
+    rng = np.random.default_rng(24)
+    chunk, d = 3, 4
+    cone_shape, entity_shape = {
+        "positives": ((n_entities, d), (n_entities, d)),
+        "negatives": ((chunk, 1, d), (chunk, n_entities, d)),
+        "ranking": ((chunk, 1, d), (n_entities, d)),
+    }[layout]
+    axis, aperture, entity = _random_distance_inputs(rng, cone_shape, entity_shape)
+    weights = rng.normal(size=np.broadcast_shapes(cone_shape, entity_shape)[:-1])
+    outer = chunk if layout != "positives" else 1
+
+    def run():
+        dist = cone_entity_distance(ConeBatch(axis, aperture), entity, 0.4)
+        return dist, _distance_grads(cone_entity_distance, axis, aperture, entity, weights, 0.4)
+
+    monkeypatch.setattr(model, "_TILE_BYTES", 1 << 40)
+    whole, whole_grads = run()
+    monkeypatch.setattr(model, "_TILE_BYTES", 5 * outer * d * 8)
+    tiled, tiled_grads = run()
+    assert np.array_equal(tiled, whole)
+    assert np.array_equal(tiled, composed_cone_entity_distance(
+        ConeBatch(axis, aperture), entity, 0.4))
+    _assert_grads_close(tiled_grads, whole_grads)
+    _assert_grads_close(tiled_grads, _distance_grads(
+        composed_cone_entity_distance, axis, aperture, entity, weights, 0.4))
+
+
+def test_distance_table_peak_memory_stays_below_one_dense_array():
+    rng = np.random.default_rng(25)
+    chunk, n_entities, d = 64, 5000, 16
+    axis, aperture, entity = _random_distance_inputs(rng, (chunk, 1, d), (n_entities, d))
+    dense_bytes = chunk * n_entities * d * 8
+    tracemalloc.start()
+    try:
+        table = cone_entity_distance(ConeBatch(axis, aperture), entity, 0.02)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert table.shape == (chunk, n_entities)
+    assert peak < dense_bytes
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ from conequery.queries import (
     write_triples_tsv,
 )
 
-from _helpers import naive_answers, random_kg
+from _helpers import complement_answers, naive_answers, random_kg
 
 
 # ---------------------------------------------------------------------------
@@ -231,6 +231,53 @@ def test_agreement_with_independent_oracle(tag):
         assert answer_symbolic(ast, graph) == expect
 
 
+def _all_negated(node):
+    """Every intersection in the tree with each child wrapped in a negation."""
+    if isinstance(node, Intersection):
+        return Intersection(tuple(Negation(_all_negated(c)) for c in node.children))
+    if isinstance(node, Projection):
+        return Projection(node.relation, _all_negated(node.child))
+    if isinstance(node, Negation):
+        return Negation(_all_negated(node.child))
+    if isinstance(node, Union):
+        return Union(tuple(_all_negated(c) for c in node.children))
+    return node
+
+
+@pytest.mark.parametrize("tag", ALL_STRUCTURES)
+def test_answers_equal_complement_reference(tag):
+    """answer_symbolic subtracts negated branches; the reference complements
+    them.  Both must agree, also where every child of an intersection is
+    negated and the complement cannot be avoided."""
+    rng = np.random.default_rng(sum(map(ord, tag)))
+    graph = random_kg(rng, n_entities=30, n_relations=3, n_triples=150)
+    n_a, n_r = structure_slots(tag)
+    nonempty = 0
+    for trial in range(60):
+        inst = sample_instance(rng, tag, graph) if trial % 2 else None
+        if inst is not None:
+            anchors, rels = inst.anchors, inst.relations
+        else:
+            anchors = tuple(int(rng.integers(graph.n_entities)) for _ in range(n_a))
+            rels = tuple(int(rng.integers(graph.n_relations)) for _ in range(n_r))
+        ast = ground(STRUCTURE_TEMPLATES[tag], anchors, rels)
+        for node in (ast, _all_negated(ast), to_dnf(ast)):
+            got = answer_symbolic(node, graph)
+            assert got == complement_answers(node, graph)
+            nonempty += bool(got)
+    assert nonempty > 0
+
+
+def test_answer_errors_follow_child_order():
+    graph = KnowledgeGraph([(0, 0, 1)], n_entities=2, n_relations=1)
+    ast = Intersection((Negation(Nominal(5)), Nominal(7)))
+    for answerer in (answer_symbolic, complement_answers):
+        with pytest.raises(ValueError, match="unknown entity id 5"):
+            answerer(ast, graph)
+    with pytest.raises(ValueError, match="unknown entity id 3"):
+        answer_symbolic(Projection(0, Nominal(3)), graph)
+
+
 def test_monotone_in_graph_for_negation_free():
     rng = np.random.default_rng(23)
     base = random_kg(rng, n_entities=40, n_relations=4, n_triples=200)
@@ -335,6 +382,17 @@ def test_generate_dataset_deterministic_bytes(tmp_path):
     pc = tmp_path / "c.jsonl"
     write_queries_jsonl(pc, c.test)
     assert pa.read_bytes() != pc.read_bytes()
+
+
+def test_generate_dataset_same_with_complement_reference(monkeypatch):
+    import conequery.queries as queries
+
+    fast = _toy_bundle(seed=4)
+    monkeypatch.setattr(queries, "answer_symbolic", complement_answers)
+    slow = _toy_bundle(seed=4)
+    for split in ("train", "valid", "test"):
+        assert getattr(fast, split) == getattr(slow, split)
+    assert fast.shortfalls == slow.shortfalls
 
 
 def test_generate_dataset_reports_shortfall_instead_of_failing():

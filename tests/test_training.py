@@ -143,6 +143,42 @@ def test_negatives_errors():
         sample_negatives(_instance(), 0, rng, 10)
     with pytest.raises(ValueError):
         sample_negatives(_instance(easy=(0, 1, 2)), 2, rng, 3)
+    for bad in ((-1,), (10,)):
+        with pytest.raises(ValueError, match="out of range"):
+            sample_negatives(_instance(easy=bad), 2, rng, 10)
+
+
+def _setdiff1d_negatives(instance, k, rng, n_entities):
+    """Reference: the complement built with np.unique and np.setdiff1d."""
+    known = np.unique(np.array(instance.easy + instance.hard, dtype=np.int64))
+    complement = np.setdiff1d(np.arange(n_entities, dtype=np.int64), known,
+                              assume_unique=True)
+    if complement.size == 0:
+        raise ValueError("every entity answers this query; no negatives exist")
+    return rng.choice(complement, size=k, replace=complement.size < k)
+
+
+def test_negatives_match_setdiff1d_reference_draw_for_draw():
+    picker = np.random.default_rng(5)
+    cases = [(_instance(easy=(1, 1, 2), hard=(2, 3, 3)), 4, 10),  # duplicate ids
+             (_instance(easy=(0, 1, 2, 3, 4, 5, 6), hard=(7, 7)), 5, 10),  # replace=True
+             (_instance(easy=(), hard=(4,)), 3, 5)]
+    for _ in range(40):
+        n = int(picker.integers(2, 60))
+        ids = picker.integers(0, n, size=int(picker.integers(1, n)))
+        cut = int(picker.integers(len(ids) + 1))
+        cases.append((_instance(easy=ids[:cut].tolist(), hard=ids[cut:].tolist()),
+                      int(picker.integers(1, 2 * n)), n))
+    for seed, (q, k, n) in enumerate(cases):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = sample_negatives(q, k, rng, n)
+        want = _setdiff1d_negatives(q, k, ref_rng, n)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+    everyone = _instance(easy=(0, 1), hard=(2, 1))
+    for sampler in (sample_negatives, _setdiff1d_negatives):
+        with pytest.raises(ValueError, match="every entity"):
+            sampler(everyone, 1, np.random.default_rng(0), 3)
 
 
 # ---------------------------------------------------------------------------
