@@ -7,10 +7,23 @@ or plain numpy inputs: with no Tensor among the inputs they run as ordinary
 numpy functions, which gives a tape-free fast path sharing the exact same
 forward arithmetic.
 
+``backward`` spends its tape: it cuts each node's link to the tape and drops
+the node's pulls once they have run, so ops on the tape's tensors, new
+leaves and a second ``backward`` raise ValueError.  The link would otherwise
+close a reference cycle (tape -> node -> tape) that keeps a finished step's
+whole graph allocated until the cyclic collector happens to run; without it,
+reference counting frees the graph as soon as the caller drops it, so a
+training loop holds one step's memory.  The nodes keep their values and
+gradients for inspection.
+
 Subgradient conventions (fixed, documented):
   |x| at 0 -> 0;  pairwise min ties -> first argument;  reduced min ties ->
   first index;  clamp outside the range -> 0;  ReLU at 0 -> 0;  angle wrap
   -> identity.
+
+Gather's gradient scatter-adds each gathered row into its table row in the
+flattened order of the indices, the order ``np.add.at`` uses, so gradients of
+repeated ids sum in a fixed order.
 
 A fused op (``fused``) records one tape node for a whole formula over several
 inputs; its hand-written VJP returns every input's gradient in one call and
@@ -39,26 +52,43 @@ _LOG_FLOOR = 1e-300  # log() guard: keeps forward values finite on (0,1] inputs
 _DENOM_FLOOR = 1e-30
 
 
+_SPENT = "backward has already run on this tape; record the next graph on a new Tape"
+_SPENT_INPUT = ("input belongs to a spent tape (backward has already run on it); "
+                "record the next graph on a new Tape")
+
+
 class Tape:
     """Single-writer op record; independent tapes may run concurrently."""
 
     def __init__(self) -> None:
         self._nodes: list[Tensor] = []
+        self._spent = False
 
     def leaf(self, values) -> "Tensor":
+        if self._spent:
+            raise ValueError(_SPENT)
         return Tensor(np.asarray(values, dtype=np.float64), self)
 
     def backward(self, loss: "Tensor") -> None:
-        """Populate grad on every tensor that the scalar loss depends on."""
+        """Populate grad on every tensor that the scalar loss depends on, and
+        spend the tape (see the module docstring): each node's ``tape`` is
+        set to None and its pulls are dropped once they have run, while
+        ``_nodes`` keeps every node's values and gradient.
+        """
+        if self._spent:
+            raise ValueError(_SPENT)
         if loss.values.size != 1:
             raise ValueError(f"loss must be scalar, got shape {loss.values.shape}")
         if loss.tape is not self:
             raise ValueError("loss was built on a different tape")
+        self._spent = True
         loss.grad = np.ones_like(loss.values)
         for node in reversed(self._nodes):
+            node.tape = None
+            parents, node._parents = node._parents, ()
             if node.grad is None:
                 continue
-            for parent, pull in node._parents:
+            for parent, pull in parents:
                 contrib = pull(node.grad)
                 if parent.grad is None:
                     parent.grad = contrib.copy()
@@ -111,6 +141,8 @@ def _tape_of(*xs) -> Tape | None:
     tape = None
     for x in xs:
         if isinstance(x, Tensor):
+            if x.tape is None:
+                raise ValueError(_SPENT_INPUT)
             if tape is None:
                 tape = x.tape
             elif x.tape is not tape:
@@ -147,8 +179,10 @@ def fused(out: np.ndarray, inputs: Sequence, vjp: Callable):
 
     ``vjp(g)`` maps the output gradient to a tuple holding one gradient per
     entry of ``inputs``, shaped like that input (None where the input is no
-    Tensor).  It runs once per incoming gradient, however many parents pull
-    from it.  With no Tensor among the inputs this returns ``out`` as is.
+    Tensor).  It runs once, when the first parent pulls, and is dropped right
+    after (a tape runs one backward), so the forward intermediates it holds
+    are freed before the rest of the backward pass.  With no Tensor among
+    the inputs this returns ``out`` as is.
     """
     out = np.asarray(out, dtype=np.float64)
     tape = _tape_of(*inputs)
@@ -159,8 +193,9 @@ def fused(out: np.ndarray, inputs: Sequence, vjp: Callable):
 
     def make_pull(i):
         def pull(g):
-            if not pending:  # first parent of this backward visit
-                grads = vjp(g)
+            nonlocal vjp
+            if vjp is not None:  # the first parent to pull
+                grads, vjp = vjp(g), None
                 pending.update((j, grads[j]) for j in live)
             return pending.pop(i)
         return pull
@@ -380,14 +415,15 @@ def reshape(x, shape):
 
 
 def gather(table, idx):
-    """Rows of a 2-D table by integer index; gradients scatter-add back."""
+    """Rows of a 2-D table by integer index; gradients scatter-add back, in
+    index order (see the module docstring), with 0 for rows never gathered."""
     tv = values_of(table)
     idx = np.asarray(idx)
 
     def pull(g):
-        full = np.zeros_like(tv)
-        np.add.at(full, idx.reshape(-1), g.reshape(-1, tv.shape[-1]))
-        return full
+        width = tv.shape[-1]
+        flat = (idx.reshape(-1, 1).astype(np.int64) * width + np.arange(width)).reshape(-1)
+        return np.bincount(flat, weights=g.reshape(-1), minlength=tv.size).reshape(tv.shape)
 
     return _result(tv[idx], (table,), (pull,))
 

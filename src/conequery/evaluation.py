@@ -18,8 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
-from .model import ConeBatch, ParameterStore, dnf_entity_distance, embed_structure
+from .model import (
+    ConeBatch,
+    ParameterStore,
+    dnf_entity_distance,
+    embed_structure,
+    entity_points,
+)
 from .queries import ALL_STRUCTURES, QueryInstance
 
 __all__ = [
@@ -172,7 +177,7 @@ def evaluate_instances(store: ParameterStore, instances, *, lam: float,
         raise ValueError("nothing to evaluate")
     _validate_vocabulary(store, instances)
     m = store.tensors(None)
-    entity_angles = ad.wrap(store.arrays["entity_axis"])  # (n_entities, d)
+    entity = entity_points(m, np.arange(store.n_entities))  # (n_entities, d)
 
     def score_chunk(tag: str, chunk: list[QueryInstance]) -> list[RankedResult]:
         anchors = np.array([q.anchors for q in chunk], dtype=np.int64)
@@ -183,7 +188,7 @@ def evaluate_instances(store: ParameterStore, instances, *, lam: float,
                       c.aperture.reshape(len(chunk), 1, store.d))
             for c in disjuncts
         ]
-        table = dnf_entity_distance(wide, entity_angles, lam)  # (chunk, n_entities)
+        table = dnf_entity_distance(wide, entity, lam)  # (chunk, n_entities)
         return [rank_instance(q, table[i]) for i, q in enumerate(chunk)]
 
     by_tag: dict[str, list[QueryInstance]] = {}

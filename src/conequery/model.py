@@ -44,6 +44,7 @@ __all__ = [
     "TWO_PI",
     "ROTATION_MODES",
     "ConeBatch",
+    "EntityPoints",
     "ModelParams",
     "ParameterStore",
     "entity_points",
@@ -204,25 +205,57 @@ class ParameterStore:
 # ---------------------------------------------------------------------------
 
 
-def entity_points(m: ModelParams, entity_ids) -> object:
-    """Unit-circle point angles for entity ids, wrapped into [-pi, pi).
+class EntityPoints(NamedTuple):
+    """Entity angles with their unit-circle coordinates.
 
-    Wrapping is elementwise, so it runs on whichever is smaller: the gathered
-    rows, or the whole table when there are more ids than table rows.  Both
-    orders give the same values and the same gradients.
+    ``angles`` is an array or tape tensor of shape (..., d); ``cos`` and
+    ``sin`` are plain arrays of the same shape.  The distance reads the
+    coordinates and differentiates through ``angles`` alone.
+    """
+
+    angles: object
+    cos: np.ndarray
+    sin: np.ndarray
+
+
+def _as_points(entity) -> EntityPoints:
+    """EntityPoints as given; bare angles get their cos and sin."""
+    if isinstance(entity, EntityPoints):
+        return entity
+    values = ad.values_of(entity)
+    return EntityPoints(entity, np.cos(values), np.sin(values))
+
+
+def _wrapped_entities(m: ModelParams, entity_ids, trig: bool):
+    """Entity angles for ids, wrapped into [-pi, pi), as EntityPoints when
+    ``trig`` and as bare angles otherwise.
+
+    Wrapping and trig are elementwise, so they run on whichever is smaller:
+    the gathered rows, or the whole table when there are more ids than table
+    rows.  Both orders give the same values and the same gradients.
     """
     ids = np.asarray(entity_ids, dtype=np.int64)
     rows = ad.values_of(m.entity_axis).shape[0]
     if ids.size and (ids.min() < 0 or ids.max() >= rows):
         raise ValueError("entity id out of range")
-    if ids.size > rows:
-        return ad.gather(ad.wrap(m.entity_axis), ids)
-    return ad.wrap(ad.gather(m.entity_axis, ids))
+    if ids.size <= rows:
+        angles = ad.wrap(ad.gather(m.entity_axis, ids))
+        return _as_points(angles) if trig else angles
+    table = ad.wrap(m.entity_axis)
+    if not trig:
+        return ad.gather(table, ids)
+    points = _as_points(table)
+    return EntityPoints(ad.gather(table, ids), points.cos[ids], points.sin[ids])
+
+
+def entity_points(m: ModelParams, entity_ids) -> EntityPoints:
+    """Unit-circle points for entity ids: wrapped angles plus cos and sin."""
+    return _wrapped_entities(m, entity_ids, trig=True)
 
 
 def nominal_cone(m: ModelParams, entity_ids) -> ConeBatch:
     """The singleton set {e}: a cone at the entity's angles with aperture 0."""
-    axis = entity_points(m, entity_ids)
+    axis = _wrapped_entities(m, entity_ids, trig=False)
     return ConeBatch(axis, np.zeros(ad.values_of(axis).shape))
 
 
@@ -396,7 +429,7 @@ def _chord_l1(cos_a, sin_a, cos_b, sin_b, buf, tmp):
     return np.add(buf, tmp, out=buf).sum(axis=-1)
 
 
-def cone_entity_distance(cone: ConeBatch, entity_angles, lam: float):
+def cone_entity_distance(cone: ConeBatch, entity, lam: float):
     """Combined outside+inside distance between cones and entity points.
 
     outside = min(L1 to the upper boundary, L1 to the lower boundary);
@@ -405,16 +438,18 @@ def cone_entity_distance(cone: ConeBatch, entity_angles, lam: float):
     unit-circle points summed over all 2d real coordinates.  Shapes
     broadcast; the trailing axis is reduced.
 
+    ``entity`` is ``EntityPoints`` (see ``entity_points``), whose cos/sin
+    are used as given, or bare angles, whose cos/sin are computed here.
     One fused autodiff op (see ``autodiff.fused`` for its subgradient
-    conventions): entity cos/sin are computed once, and the entity rows
-    (the second-to-last axis of the broadcast) are processed in tiles of at
-    most ``_TILE_BYTES`` per temporary.  Tape inputs and plain arrays take
-    the same path.
+    conventions): the entity rows (the second-to-last axis of the broadcast)
+    are processed in tiles of at most ``_TILE_BYTES`` per temporary.  Tape
+    inputs and plain arrays take the same path.
     """
     lam = float(lam)
-    inputs = (cone.axis, cone.aperture, entity_angles)
+    entity = _as_points(entity)
+    inputs = (cone.axis, cone.aperture, entity.angles)
     axis, aperture, ent = (ad.values_of(x) for x in inputs)
-    need_ent = isinstance(entity_angles, ad.Tensor)
+    need_ent = isinstance(entity.angles, ad.Tensor)
     taped = any(isinstance(x, ad.Tensor) for x in inputs)
 
     half = aperture * 0.5
@@ -429,7 +464,7 @@ def cone_entity_distance(cone: ConeBatch, entity_angles, lam: float):
     cu, su = pad(np.cos(upper)), pad(np.sin(upper))
     cl, sl = pad(np.cos(lower)), pad(np.sin(lower))
     ca, sa = pad(np.cos(axis)), pad(np.sin(axis))
-    ce, se = pad(np.cos(ent)), pad(np.sin(ent))
+    ce, se = pad(entity.cos), pad(entity.sin)
     cone_shape = cu.shape
     p_ua = _chord_l1(cu, su, ca, sa, np.empty(cone_shape), np.empty(cone_shape))
 
@@ -476,24 +511,29 @@ def cone_entity_distance(cone: ConeBatch, entity_angles, lam: float):
     def vjp(g):
         g = g.reshape(full[:-1])
         g_in = g * lam
-        # (weight, cos, sin) of the three cone-to-entity L1 sums
-        terms = ((g * take_u, cu, su), (g * ~take_u, cl, sl), (g_in * take_a, ca, sa))
+        # (weight, cos, sin, tiled cos, tiled sin) of the three cone-to-entity
+        # L1 sums
+        weights = (g * take_u, g * ~take_u, g_in * take_a)
+        terms = list(zip(weights, (cu, cl, ca), (su, sl, sa), cone_trig[0::2], cone_trig[1::2]))
         g_cone = [np.zeros(cone_shape) for _ in terms]
         g_ent = np.zeros(ce.shape) if need_ent else None
         buf = None
         for span in spans:
             if buf is None or buf.shape[-2] != span.stop - span.start:
-                buf, tmp, sum_c, sum_s = scratch(span, 4)
+                buf, tmp, diff, sum_c, sum_s = scratch(span, 5)
             ce_t, se_t = rows_of(ce, span), rows_of(se, span)
             if need_ent:
                 sum_c.fill(0.0)
                 sum_s.fill(0.0)
-            for k, (w, c, s) in enumerate(terms):
+            for k, (w, c, s, c_tiled, s_tiled) in enumerate(terms):
                 w_t = cols_of(w, span)[..., None]
+                # w * sign(cos x - cos e) and w * sign(sin x - sin e); sign
+                # whose output aliases its input runs about 4x slower
+                np.subtract(rows_of(c_tiled, span), ce_t, out=diff)
+                np.multiply(np.sign(diff, out=buf), w_t, out=buf)
+                np.subtract(rows_of(s_tiled, span), se_t, out=diff)
+                np.multiply(np.sign(diff, out=tmp), w_t, out=tmp)
                 c_t, s_t = rows_of(c, span), rows_of(s, span)
-                # w * sign(cos x - cos e) and w * sign(sin x - sin e)
-                np.multiply(np.sign(np.subtract(c_t, ce_t, out=buf), out=buf), w_t, out=buf)
-                np.multiply(np.sign(np.subtract(s_t, se_t, out=tmp), out=tmp), w_t, out=tmp)
                 g_t = rows_of(g_cone[k], span)
                 g_t += c_t * ad._unbroadcast(tmp, g_t.shape)
                 g_t -= s_t * ad._unbroadcast(buf, g_t.shape)
@@ -517,13 +557,15 @@ def cone_entity_distance(cone: ConeBatch, entity_angles, lam: float):
     return ad.fused(out.reshape(shape[:-1]), inputs, vjp)
 
 
-def dnf_entity_distance(disjuncts: Sequence[ConeBatch], entity_angles, lam: float):
-    """Distance to a DNF embedding: the minimum over the disjunct cones."""
+def dnf_entity_distance(disjuncts: Sequence[ConeBatch], entity, lam: float):
+    """Distance to a DNF embedding: the minimum over the disjunct cones.
+    ``entity`` is as in ``cone_entity_distance``."""
     if not disjuncts:
         raise ValueError("a DNF embedding needs at least one disjunct")
-    dist = cone_entity_distance(disjuncts[0], entity_angles, lam)
+    entity = _as_points(entity)  # one cos/sin for all disjuncts
+    dist = cone_entity_distance(disjuncts[0], entity, lam)
     for cone in disjuncts[1:]:
-        dist = ad.minimum(dist, cone_entity_distance(cone, entity_angles, lam))
+        dist = ad.minimum(dist, cone_entity_distance(cone, entity, lam))
     return dist
 
 

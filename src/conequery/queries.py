@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -320,6 +320,102 @@ class KnowledgeGraph:
         return len(self.triples)
 
 
+#: A compiled answerer: maps (anchors, relations, graph) to the answer set.
+Answerer = Callable[[Sequence[int], Sequence[int], KnowledgeGraph], frozenset[int]]
+
+
+def _checked_entity(e: int, graph: KnowledgeGraph) -> int:
+    if not (0 <= e < graph.n_entities):
+        raise ValueError(f"unknown entity id {e}")
+    return e
+
+
+def _checked_relation(r: int, graph: KnowledgeGraph) -> int:
+    if not (0 <= r < graph.n_relations):
+        raise ValueError(f"unknown relation id {r}")
+    return r
+
+
+def _compile(node: Node) -> Answerer:
+    """Compile a query tree into a closure that answers it by bottom-up set
+    evaluation; ``Nominal.entity`` and ``Projection.relation`` index the
+    closure's ``anchors`` and ``relations``.  Children are answered in
+    order, so the first out-of-range id is the one reported.  The set
+    semantics are those of ``answer_symbolic``."""
+    if isinstance(node, Nominal):
+        slot = node.entity
+
+        def nominal(anchors, relations, graph):
+            return frozenset((_checked_entity(anchors[slot], graph),))
+        return nominal
+    if isinstance(node, Projection):
+        slot = node.relation
+        if isinstance(node.child, Nominal):
+            head = node.child.entity
+
+            def edge(anchors, relations, graph):
+                r = _checked_relation(relations[slot], graph)
+                return frozenset(graph.successors(_checked_entity(anchors[head], graph), r))
+            return edge
+        child = _compile(node.child)
+
+        def project(anchors, relations, graph):
+            r = _checked_relation(relations[slot], graph)
+            out: set[int] = set()
+            for e in child(anchors, relations, graph):
+                out.update(graph.successors(e, r))
+            return frozenset(out)
+        return project
+    if isinstance(node, Intersection):
+        subtract = not all(isinstance(c, Negation) for c in node.children)
+        parts = []
+        for c in node.children:
+            negated = subtract and isinstance(c, Negation)
+            parts.append((negated, _compile(c.child if negated else c)))
+
+        def intersect(anchors, relations, graph):
+            kept, removed = [], []
+            for negated, answer in parts:
+                (removed if negated else kept).append(answer(anchors, relations, graph))
+            acc = kept[0]
+            for p in kept[1:]:
+                acc &= p
+            for p in removed:
+                acc -= p
+            return acc
+        return intersect
+    if isinstance(node, Union):
+        children = [_compile(c) for c in node.children]
+
+        def union(anchors, relations, graph):
+            acc = frozenset()
+            for answer in children:
+                acc |= answer(anchors, relations, graph)
+            return acc
+        return union
+    if isinstance(node, Negation):
+        inner = _compile(node.child)
+
+        def complement(anchors, relations, graph):
+            return frozenset(range(graph.n_entities)) - inner(anchors, relations, graph)
+        return complement
+    raise ValueError(f"unknown AST node: {node!r}")
+
+
+class _OwnIds:
+    """The slot table of a grounded tree: slot i holds id i."""
+
+    def __getitem__(self, i: int) -> int:
+        return i
+
+
+#: Each structure template compiled once; answers a grounding directly from
+#: its anchor and relation ids, without building the grounded tree.
+_ANSWERERS: dict[str, Answerer] = {
+    tag: _compile(template) for tag, template in STRUCTURE_TEMPLATES.items()
+}
+
+
 def answer_symbolic(node: Node, graph: KnowledgeGraph) -> frozenset[int]:
     """Exact answer set by bottom-up set evaluation.
 
@@ -328,45 +424,10 @@ def answer_symbolic(node: Node, graph: KnowledgeGraph) -> frozenset[int]:
     An intersection with at least one non-negated child never builds that
     complement: every answer set lies inside the known ids, so it subtracts
     the negated children's answers from the intersection of the others.
+    A projection of a nominal reads the successor index directly.
     """
-    if isinstance(node, Nominal):
-        if not (0 <= node.entity < graph.n_entities):
-            raise ValueError(f"unknown entity id {node.entity}")
-        return frozenset((node.entity,))
-    if isinstance(node, Projection):
-        if not (0 <= node.relation < graph.n_relations):
-            raise ValueError(f"unknown relation id {node.relation}")
-        if isinstance(node.child, Nominal):
-            answer_symbolic(node.child, graph)  # id range check
-            return frozenset(graph.successors(node.child.entity, node.relation))
-        base = answer_symbolic(node.child, graph)
-        out: set[int] = set()
-        for e in base:
-            out.update(graph.successors(e, node.relation))
-        return frozenset(out)
-    if isinstance(node, Intersection):
-        subtract = not all(isinstance(c, Negation) for c in node.children)
-        kept, removed = [], []
-        for c in node.children:
-            if subtract and isinstance(c, Negation):
-                removed.append(answer_symbolic(c.child, graph))
-            else:
-                kept.append(answer_symbolic(c, graph))
-        acc = kept[0]
-        for p in kept[1:]:
-            acc &= p
-        for p in removed:
-            acc -= p
-        return acc
-    if isinstance(node, Union):
-        acc = frozenset()
-        for c in node.children:
-            acc |= answer_symbolic(c, graph)
-        return acc
-    if isinstance(node, Negation):
-        inner = answer_symbolic(node.child, graph)
-        return frozenset(range(graph.n_entities)) - inner
-    raise ValueError(f"unknown AST node: {node!r}")
+    ids = _OwnIds()
+    return _compile(node)(ids, ids, graph)
 
 
 # ---------------------------------------------------------------------------
@@ -397,49 +458,73 @@ def _choice(rng: np.random.Generator, seq: Sequence) -> object:
     return seq[int(rng.integers(len(seq)))]
 
 
-def _sample_backward(rng: np.random.Generator, node: Node, target: int,
-                     graph: KnowledgeGraph,
-                     anchors: dict[int, int], relations: dict[int, int]) -> bool:
-    """Ground ``node``'s slots so that ``target`` is among its answers.
+#: A compiled walk: (rng, target, graph, anchors, relations) -> bool.
+Walker = Callable[[np.random.Generator, int, KnowledgeGraph, dict, dict], bool]
 
-    Negated children are grounded *freely* (no target constraint); the caller
-    re-checks the combined answer set afterwards.  Returns False when the
-    graph cannot support the walk from ``target``.
+
+def _compile_walk(node: Node) -> Walker:
+    """Compile a template into a closure that grounds its slots so that
+    ``target`` is among its answers, writing slot -> id into ``anchors`` and
+    ``relations``; the rng is drawn in the tree's left-to-right order.
+
+    Negated children are grounded *freely*, at a random reachable target (no
+    target constraint); the caller re-checks the combined answer set
+    afterwards.  The closure returns False when the graph cannot support the
+    walk from ``target``.
     """
     if isinstance(node, Nominal):
-        anchors[node.entity] = target
-        return True
+        slot = node.entity
+
+        def nominal(rng, target, graph, anchors, relations):
+            anchors[slot] = target
+            return True
+        return nominal
     if isinstance(node, Projection):
-        edges = graph.incoming(target)
-        if not edges:
-            return False
-        head, rel = _choice(rng, edges)
-        relations[node.relation] = rel
-        return _sample_backward(rng, node.child, head, graph, anchors, relations)
-    if isinstance(node, Intersection):
-        for child in node.children:
-            if isinstance(child, Negation):
-                if not _sample_free(rng, child.child, graph, anchors, relations):
-                    return False
-            elif not _sample_backward(rng, child, target, graph, anchors, relations):
+        slot, child = node.relation, _compile_walk(node.child)
+
+        def project(rng, target, graph, anchors, relations):
+            edges = graph.incoming(target)
+            if not edges:
                 return False
-        return True
+            head, rel = _choice(rng, edges)
+            relations[slot] = rel
+            return child(rng, head, graph, anchors, relations)
+        return project
+    if isinstance(node, Intersection):
+        parts = []
+        for c in node.children:
+            free = isinstance(c, Negation)
+            parts.append((free, _compile_walk(c.child if free else c)))
+
+        def intersect(rng, target, graph, anchors, relations):
+            for free, walk in parts:
+                if free:
+                    if not graph.reachable:
+                        return False
+                    at = int(_choice(rng, graph.reachable))
+                else:
+                    at = target
+                if not walk(rng, at, graph, anchors, relations):
+                    return False
+            return True
+        return intersect
     if isinstance(node, Union):
         # Ground every branch at the target: the union then surely contains it.
-        for child in node.children:
-            if not _sample_backward(rng, child, target, graph, anchors, relations):
-                return False
-        return True
-    raise ValueError(f"cannot sample structure node {node!r}")
+        children = [_compile_walk(c) for c in node.children]
+
+        def union(rng, target, graph, anchors, relations):
+            return all(walk(rng, target, graph, anchors, relations) for walk in children)
+        return union
+
+    def unsupported(rng, target, graph, anchors, relations):
+        raise ValueError(f"cannot sample structure node {node!r}")
+    return unsupported
 
 
-def _sample_free(rng: np.random.Generator, node: Node, graph: KnowledgeGraph,
-                 anchors: dict[int, int], relations: dict[int, int]) -> bool:
-    """Ground ``node`` at a random reachable target (used for negated branches)."""
-    if not graph.reachable:
-        return False
-    target = int(_choice(rng, graph.reachable))
-    return _sample_backward(rng, node, target, graph, anchors, relations)
+#: Each structure template's walk, compiled once.
+_WALKERS: dict[str, Walker] = {
+    tag: _compile_walk(template) for tag, template in STRUCTURE_TEMPLATES.items()
+}
 
 
 def one_hop_instances(graph: KnowledgeGraph) -> list[QueryInstance]:
@@ -466,7 +551,8 @@ def sample_instance(rng: np.random.Generator, structure: str,
     full graph when ``require_hard`` (so held-out edges can be reached).
     Returns None if no valid instance is found within ``max_attempts``.
     """
-    template = STRUCTURE_TEMPLATES[structure]
+    walk = _WALKERS[structure]
+    answer = _ANSWERERS[structure]
     n_anchor, n_rel = structure_slots(structure)
     walk_graph = full_graph if (require_hard and full_graph is not None) else small_graph
     if not walk_graph.reachable:
@@ -475,20 +561,19 @@ def sample_instance(rng: np.random.Generator, structure: str,
         anchors: dict[int, int] = {}
         relations: dict[int, int] = {}
         target = int(_choice(rng, walk_graph.reachable))
-        if not _sample_backward(rng, template, target, walk_graph, anchors, relations):
+        if not walk(rng, target, walk_graph, anchors, relations):
             continue
         if len(anchors) != n_anchor or len(relations) != n_rel:
             continue
         anc = tuple(anchors[i] for i in range(n_anchor))
         rel = tuple(relations[i] for i in range(n_rel))
-        ast = ground(template, anc, rel)
-        easy = answer_symbolic(ast, small_graph)
+        easy = answer(anc, rel, small_graph)
         if full_graph is None:
             if not easy:
                 continue
             hard: frozenset[int] = frozenset()
         else:
-            full = answer_symbolic(ast, full_graph)
+            full = answer(anc, rel, full_graph)
             hard = full - easy
             if require_hard and not hard:
                 continue

@@ -380,3 +380,44 @@ def complement_answers(node, graph) -> frozenset:
     if isinstance(node, Negation):
         return frozenset(range(graph.n_entities)) - complement_answers(node.child, graph)
     raise ValueError(f"unknown AST node: {node!r}")
+
+
+# ---------------------------------------------------------------------------
+# reference for the compiled sampling walks of queries.sample_instance
+# ---------------------------------------------------------------------------
+
+def recursive_walk(rng, node, target, graph, anchors, relations) -> bool:
+    """Ground ``node``'s slots so that ``target`` answers it, by recursion
+    over the tree in the compiled walk's rng order: a projection draws one
+    incoming edge of its target, a negated intersection child is grounded at
+    a random reachable entity, and every union branch at the target."""
+    from conequery.queries import Intersection, Negation, Nominal, Projection, Union
+
+    def choice(seq):
+        return seq[int(rng.integers(len(seq)))]
+
+    if isinstance(node, Nominal):
+        anchors[node.entity] = target
+        return True
+    if isinstance(node, Projection):
+        edges = graph.incoming(target)
+        if not edges:
+            return False
+        head, rel = choice(edges)
+        relations[node.relation] = rel
+        return recursive_walk(rng, node.child, head, graph, anchors, relations)
+    if isinstance(node, Intersection):
+        for child in node.children:
+            if isinstance(child, Negation):
+                if not graph.reachable:
+                    return False
+                at = int(choice(graph.reachable))
+                if not recursive_walk(rng, child.child, at, graph, anchors, relations):
+                    return False
+            elif not recursive_walk(rng, child, target, graph, anchors, relations):
+                return False
+        return True
+    if isinstance(node, Union):
+        return all(recursive_walk(rng, c, target, graph, anchors, relations)
+                   for c in node.children)
+    raise ValueError(f"cannot sample structure node {node!r}")

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -144,6 +146,58 @@ def test_gather_scatter_adds():
     rows = ad.gather(table, np.array([0, 2, 0]))
     tape.backward(ad.total(rows))
     assert table.grad.tolist() == [[2.0, 2.0], [0.0, 0.0], [1.0, 1.0]]
+
+
+@pytest.mark.parametrize("id_shape", [(7,), (3, 5), (40, 9)])
+def test_gather_gradient_equals_add_at_reference(id_shape):
+    # repeated ids, rows never gathered, 1-D and 2-D id arrays: the scatter
+    # must add in np.add.at's order, so the sums agree bit for bit
+    rng = np.random.default_rng(37)
+    table = rng.normal(size=(12, 4))
+    ids = rng.integers(8, size=id_shape)  # rows 8..11 never gathered
+    weights = rng.normal(size=id_shape + (4,))
+    tape = ad.Tape()
+    leaf_table = tape.leaf(table)
+    tape.backward(ad.total(ad.multiply(ad.gather(leaf_table, ids), weights)))
+    want = np.zeros_like(table)
+    np.add.at(want, ids.reshape(-1), weights.reshape(-1, 4))
+    assert np.array_equal(leaf_table.grad, want)
+    assert np.all(leaf_table.grad[8:] == 0.0)
+
+
+def test_backward_spends_the_tape():
+    tape = ad.Tape()
+    x = leaf(tape, 1.0, 2.0)
+    loss = ad.total(ad.multiply(x, x))
+    tape.backward(loss)
+    assert x.grad.tolist() == [2.0, 4.0] and loss.values == 5.0  # both kept
+    with pytest.raises(ValueError, match="spent tape"):
+        ad.multiply(x, 2.0)
+    with pytest.raises(ValueError, match="spent tape"):
+        ad.fused(x.values, (x,), lambda g: (g,))
+    with pytest.raises(ValueError, match="backward has already run on this tape"):
+        tape.backward(loss)
+    with pytest.raises(ValueError, match="backward has already run on this tape"):
+        tape.leaf([1.0])
+    # plain arrays still take the tape-free path
+    assert ad.multiply(x.values, 2.0).tolist() == [2.0, 4.0]
+
+
+def test_spent_graph_is_freed_without_the_cyclic_collector():
+    gc.collect()
+    gc.disable()
+    try:
+        tape = ad.Tape()
+        x = leaf(tape, 0.5, 1.5)
+        loss = ad.total(ad.sin(ad.multiply(x, x)))
+        tape.backward(loss)
+        grad = x.grad
+        dead = weakref.ref(tape)
+        del tape, x, loss
+        assert dead() is None
+        assert grad.shape == (2,)
+    finally:
+        gc.enable()
 
 
 def test_non_scalar_loss_rejected():

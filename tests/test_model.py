@@ -93,10 +93,44 @@ def test_entity_points_wrap_order_is_invisible(id_shape):
         tape.backward(ad.total(ad.multiply(out, weights)))
         return out.values, m.entity_axis.grad
 
-    got = run(lambda m: entity_points(m, ids))
+    got = run(lambda m: entity_points(m, ids).angles)
     want = run(lambda m: ad.wrap(ad.gather(m.entity_axis, ids)))
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
-    assert np.array_equal(entity_points(store.tensors(), ids), want[0])
+    points = entity_points(store.tensors(), ids)
+    assert np.array_equal(points.angles, want[0])
+    # the carried coordinates are the trig of the angles, in either order
+    assert np.array_equal(points.cos, np.cos(points.angles))
+    assert np.array_equal(points.sin, np.sin(points.angles))
+
+
+@pytest.mark.parametrize("id_shape", [(4,), (8, 6)])
+def test_distance_same_from_points_and_plain_angles(id_shape):
+    # Carried cos/sin and cos/sin computed inside the distance must give the
+    # same distances and the same gradients for every parameter.
+    store = toy_store()
+    rng = np.random.default_rng(4)
+    ids = rng.integers(30, size=id_shape)
+    anchors = rng.integers(30, size=(id_shape[0], 2))
+    relations = rng.integers(4, size=(id_shape[0], 2))
+    weights = rng.normal(size=id_shape)
+
+    def run(entity):
+        tape = ad.Tape()
+        m = store.tensors(tape)
+        cones = embed_structure(m, "2u", anchors, relations)
+        if len(id_shape) == 2:
+            cones = [ConeBatch(ad.reshape(c.axis, (id_shape[0], 1, store.d)),
+                               ad.reshape(c.aperture, (id_shape[0], 1, store.d)))
+                     for c in cones]
+        dist = dnf_entity_distance(cones, entity(m), lam=0.3)
+        tape.backward(ad.total(ad.multiply(dist, weights)))
+        return dist.values, {n: getattr(m, n).grad for n in store.trainable_names()}
+
+    points, plain = run(lambda m: entity_points(m, ids)), run(lambda m: entity_points(m, ids).angles)
+    assert np.array_equal(points[0], plain[0])
+    assert points[1].keys() == plain[1].keys()
+    for name, g in points[1].items():
+        assert np.array_equal(g, plain[1][name]), name
 
 
 def test_entity_ids_validated():

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+import conequery.queries as queries
 from conequery.queries import (
     ALL_STRUCTURES,
     EVAL_ONLY_STRUCTURES,
@@ -35,7 +36,7 @@ from conequery.queries import (
     write_triples_tsv,
 )
 
-from _helpers import complement_answers, naive_answers, random_kg
+from _helpers import complement_answers, naive_answers, random_kg, recursive_walk
 
 
 # ---------------------------------------------------------------------------
@@ -265,6 +266,10 @@ def test_answers_equal_complement_reference(tag):
             got = answer_symbolic(node, graph)
             assert got == complement_answers(node, graph)
             nonempty += bool(got)
+        # a compiled template answers from the slot ids, as sampling does
+        for template in (STRUCTURE_TEMPLATES[tag], _all_negated(STRUCTURE_TEMPLATES[tag])):
+            got = queries._compile(template)(anchors, rels, graph)
+            assert got == complement_answers(ground(template, anchors, rels), graph)
     assert nonempty > 0
 
 
@@ -385,14 +390,45 @@ def test_generate_dataset_deterministic_bytes(tmp_path):
 
 
 def test_generate_dataset_same_with_complement_reference(monkeypatch):
-    import conequery.queries as queries
+    def reference(template):
+        return lambda anchors, rels, graph: complement_answers(
+            ground(template, anchors, rels), graph)
 
-    fast = _toy_bundle(seed=4)
-    monkeypatch.setattr(queries, "answer_symbolic", complement_answers)
-    slow = _toy_bundle(seed=4)
-    for split in ("train", "valid", "test"):
-        assert getattr(fast, split) == getattr(slow, split)
-    assert fast.shortfalls == slow.shortfalls
+    for seed in (0, 1, 2, 4):
+        with monkeypatch.context() as patch:
+            fast = _toy_bundle(seed=seed)
+            patch.setattr(queries, "_ANSWERERS", {
+                tag: reference(t) for tag, t in STRUCTURE_TEMPLATES.items()})
+            slow = _toy_bundle(seed=seed)
+        for split in ("train", "valid", "test"):
+            assert getattr(fast, split) == getattr(slow, split)
+        assert fast.shortfalls == slow.shortfalls
+
+
+def test_generate_dataset_same_with_recursive_walk_reference(monkeypatch):
+    # the compiled walks draw from the rng in the recursive walk's order
+    def reference(template):
+        return lambda rng, target, graph, anchors, relations: recursive_walk(
+            rng, template, target, graph, anchors, relations)
+
+    for seed in (0, 1, 2, 4):
+        with monkeypatch.context() as patch:
+            fast = _toy_bundle(seed=seed)
+            patch.setattr(queries, "_WALKERS", {
+                tag: reference(t) for tag, t in STRUCTURE_TEMPLATES.items()})
+            slow = _toy_bundle(seed=seed)
+        for split in ("train", "valid", "test"):
+            assert getattr(fast, split) == getattr(slow, split)
+        assert fast.shortfalls == slow.shortfalls
+
+
+def test_walk_rejects_negation_outside_an_intersection():
+    rng = np.random.default_rng(0)
+    graph = KnowledgeGraph([(0, 0, 1)], 2, 1)
+    walk = queries._compile_walk(Union((Projection(0, Nominal(0)),
+                                        Negation(Projection(0, Nominal(1))))))
+    with pytest.raises(ValueError, match="cannot sample"):
+        walk(rng, 1, graph, {}, {})
 
 
 def test_generate_dataset_reports_shortfall_instead_of_failing():

@@ -2,8 +2,10 @@
 determinism, descent, and the full-loss gradient audit."""
 
 import dataclasses
+import gc
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -294,6 +296,27 @@ def test_train_runs_and_logs(tiny_dataset, tmp_path):
     steps = [rec["step"] for rec in log if rec["event"] == "train"]
     assert steps[0] == 1 and steps[-1] == 40
     assert all(math.isfinite(rec["loss"]) for rec in log if rec["event"] == "train")
+
+
+def test_train_holds_one_step_of_memory(tiny_dataset):
+    # With the cyclic collector off, a run keeps only what reference counting
+    # cannot free: each step's graph must go when the step returns.
+    instances, kg = tiny_dataset
+
+    def peak(steps):
+        cfg = _loop_cfg(d=32, b=64, n=16, steps=steps)
+        state = init_state(cfg, kg.n_entities, kg.n_relations)
+        gc.collect()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            train(instances, kg.n_entities, kg.n_relations, cfg, state=state)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+
+    assert peak(20) < 3 * peak(1)
 
 
 def test_train_loss_decreases(tiny_dataset):
