@@ -41,12 +41,11 @@ with L1 the summed |cos a - cos b| + |sin a - sin b| over dimensions:
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Sequence
 
 import numpy as np
 
-TWO_PI = 2.0 * math.pi
+from .cones import wrap_angle
 
 _LOG_FLOOR = 1e-300  # log() guard: keeps forward values finite on (0,1] inputs
 _DENOM_FLOOR = 1e-30
@@ -302,10 +301,7 @@ def clamp(x, lo: float, hi: float):
 
 def wrap(x):
     """Reduce angles into [-pi, pi); gradient passes through unchanged."""
-    xv = values_of(x)
-    out = (xv + math.pi) % TWO_PI - math.pi
-    out = np.where(out >= math.pi, out - TWO_PI, out)
-    return _result(out, (x,), (lambda g: g,))
+    return _result(wrap_angle(values_of(x)), (x,), (lambda g: g,))
 
 
 # ---------------------------------------------------------------------------

@@ -8,24 +8,20 @@ emitted when the fraction of satisfying dimensions reaches a threshold.
 This thresholded-fraction aggregation (and both knobs) is the central
 extraction choice and is exposed on the CLI.
 
-Per-dimension conditions (all margins in radians; a dimension counts as
-satisfying when ``margin >= -tol``):
+Per-dimension conditions are the margins of :mod:`conequery.conditions`
+(radians; a dimension counts as satisfying when ``margin >= -tol``):
 
-- ``Symmetric(r)``       window slack  ``delta - dist(2*theta)``
-- ``Asymmetric(r)``      strict violation of the symmetry window,
+- ``Symmetric(r)``         ``symmetry_margin``
+- ``Asymmetric(r)``        strict violation of the symmetry window,
   ``margin < -tol`` (the scalar predicate's negation, exactly)
-- ``SubRoleOf(r s)``     ``(delta_s - delta_r)/2 - dist(theta_s - theta_r)``
-- ``SubRoleOf(r1_r2 r3)``  ``(delta_3 - delta_1 - delta_2)/2 -
-  dist(theta_3 - theta_1 - theta_2)``
-- ``Transitive(r)``      the composition margin at ``r1 = r2 = r3 = r``
-- ``InverseRoles(r s)``  boundary-rotor congruence: both
-  ``dist((theta_r + delta_r/2) + (theta_s + delta_s/2))`` and the
-  lower-boundary counterpart within ``tol`` of a full turn
+- ``SubRoleOf(r s)``       ``containment_margin``
+- ``SubRoleOf(r1_r2 r3)``  ``composition_margin``
+- ``Transitive(r)``        ``transitivity_margin``
+- ``InverseRoles(r s)``    ``inverse_margin`` on the boundary rotors
+  ``theta +/- delta/2``
 
-``dist`` is the distance to the nearest multiple of a full turn, so all
-conditions act on relative angles modulo rotations — two axis shifts just
-across the +/-pi seam count as close.  Containment/composition margins match
-the width-preserving sound predicates evaluated on the relative rotation.
+All of them act on angles modulo full turns, so two axis shifts just across
+the +/-pi seam count as close.
 
 Monotonicity: for every kind except ``Asymmetric``, lowering the tolerance
 or raising the fraction threshold never adds an axiom.  ``Asymmetric`` is a
@@ -52,7 +48,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from conequery.cones import TWO_PI
+from conequery.cones import turn_distance, wrap_angle
 from conequery.conditions import (
     ASYMMETRY,
     COMPOSITION,
@@ -61,6 +57,11 @@ from conequery.conditions import (
     PATTERN_KINDS,
     SYMMETRY,
     TRANSITIVITY,
+    composition_margin,
+    containment_margin,
+    inverse_margin,
+    symmetry_margin,
+    transitivity_margin,
 )
 from conequery.model import ParameterStore
 from conequery.patterns import PatternLabel
@@ -91,15 +92,10 @@ class ExtractedAxiom:
             raise ValueError("tolerance must be non-negative")
 
 
-def _turn_dist(x: np.ndarray) -> np.ndarray:
-    return np.abs(x - np.round(x / TWO_PI) * TWO_PI)
-
-
 def relation_rotation_angles(store: ParameterStore) -> tuple[np.ndarray, np.ndarray]:
     """Read per-relation rotation parameters the way the model applies them:
     axis shifts wrapped to the principal range, apertures through ``abs``."""
-    theta = np.asarray(store.arrays["relation_axis"], dtype=float)
-    theta = (theta + np.pi) % TWO_PI - np.pi
+    theta = wrap_angle(np.asarray(store.arrays["relation_axis"], dtype=float))
     delta = np.abs(np.asarray(store.arrays["relation_aperture"], dtype=float))
     return theta, delta
 
@@ -126,16 +122,12 @@ def composition_candidates(
     if proximity_top_n > 0:
         for r1 in range(n_rel):
             for r2 in range(n_rel):
-                residual = _turn_dist(theta[None, r1] + theta[None, r2] - theta)
+                residual = turn_distance(theta[None, r1] + theta[None, r2] - theta)
                 order = np.argsort(residual.mean(axis=1), kind="stable")
                 for r3 in order[:proximity_top_n]:
                     if not r1 == r2 == int(r3):
                         cands.add((r1, r2, int(r3)))
     return sorted(cands)
-
-
-def _fraction(mask: np.ndarray) -> float:
-    return float(np.mean(mask))
 
 
 def extract(
@@ -189,10 +181,17 @@ def extract_from_angles(
         if fraction >= frac_threshold:
             axioms.append(ExtractedAxiom(kind, relations, fraction, tol))
 
-    sym_margin = delta - _turn_dist(2.0 * theta)
+    def fractions(margin: np.ndarray):
+        """Along the last axis, the share of dimensions whose margin reaches -tol."""
+        return np.mean(margin >= -tol, axis=-1).tolist()
+
+    f_syms = fractions(symmetry_margin(theta, delta))
+    f_trans = fractions(transitivity_margin(theta, delta))
+    upper = theta + 0.5 * delta
+    lower = theta - 0.5 * delta
     for r in range(n_rel):
         # Complementary dimension sets: within the window vs strictly out.
-        f_sym = _fraction(sym_margin[r] >= -tol)
+        f_sym = f_syms[r]
         f_asym = 1.0 - f_sym
         if f_sym >= frac_threshold and f_asym >= frac_threshold:
             # Possible only at frac_threshold <= 0.5; larger side wins,
@@ -204,25 +203,19 @@ def extract_from_angles(
         else:
             consider(SYMMETRY, (r,), f_sym)
             consider(ASYMMETRY, (r,), f_asym)
-        consider(TRANSITIVITY, (r,),
-                 _fraction(-0.5 * delta[r] - _turn_dist(theta[r]) >= -tol))
-
-    upper = theta + 0.5 * delta
-    lower = theta - 0.5 * delta
-    for r in range(n_rel):
+        consider(TRANSITIVITY, (r,), f_trans[r])
+        f_contain = fractions(containment_margin(theta[r], delta[r], theta, delta))
+        f_inverse = fractions(inverse_margin(upper[r], lower[r], upper, lower))
         for s in range(n_rel):
             if s != r:
-                margin = 0.5 * (delta[s] - delta[r]) - _turn_dist(theta[s] - theta[r])
-                consider(CONTAINMENT, (r, s), _fraction(margin >= -tol))
+                consider(CONTAINMENT, (r, s), f_contain[s])
             if s > r:
-                ok = ((_turn_dist(upper[r] + upper[s]) <= tol)
-                      & (_turn_dist(lower[r] + lower[s]) <= tol))
-                consider(INVERSE, (r, s), _fraction(ok))
+                consider(INVERSE, (r, s), f_inverse[s])
 
     for r1, r2, r3 in composition_candidates(theta, patterns, proximity_top_n):
-        margin = (0.5 * (delta[r3] - delta[r1] - delta[r2])
-                  - _turn_dist(theta[r3] - theta[r1] - theta[r2]))
-        consider(COMPOSITION, (r1, r2, r3), _fraction(margin >= -tol))
+        margin = composition_margin(theta[r1], delta[r1], theta[r2], delta[r2],
+                                    theta[r3], delta[r3])
+        consider(COMPOSITION, (r1, r2, r3), fractions(margin))
 
     axioms.sort(key=lambda a: (-a.fraction, PATTERN_KINDS.index(a.kind), a.relations))
     return axioms

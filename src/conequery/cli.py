@@ -17,9 +17,8 @@ Conventions shared by every subcommand:
   ``<file>.manifest.json`` beside a single output file;
 - training config precedence is CLI flag > ``--config`` file > ``--profile``
   > built-in default;
-- ``--threads N`` shards batch work; with N > 1 the floating-point reduction
-  order (and therefore the exact bits) may vary unless ``--deterministic``
-  forces the single-shard reduction order.
+- ``--threads N`` shards batch work; shards join in index order, so output
+  is bit-identical at any fixed N (evaluation at any N at all).
 
 Exit codes: 0 success; 1 failed run or failed check; 2 usage errors.
 """
@@ -160,14 +159,11 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     g.add_argument("--patience", type=int,
                    help="early-stop patience in validation rounds")
     g.add_argument("--threads", type=int, help="worker shards for batch math")
-    g.add_argument("--deterministic", action="store_true", default=None,
-                   help="force single-shard reduction order under --threads")
 
 
 def _resolved_config(args: argparse.Namespace):
     file_overrides = parse_config_file(args.config) if args.config else None
     cli = {name: getattr(args, name) for name in _CONFIG_FLAGS}
-    cli["deterministic"] = args.deterministic
     return resolve_config(profile=args.profile, file_overrides=file_overrides,
                           cli_overrides=cli)
 
@@ -400,7 +396,7 @@ def cmd_mine_patterns(args: argparse.Namespace) -> int:
     triples, _, rels = read_triples_tsv(args.triples, None, relation_ids)
     names = [n for n, _ in sorted(rels.items(), key=lambda kv: kv[1])]
     labels = mine_patterns(triples, min_coverage=args.min_coverage,
-                           min_support=args.min_support, threads=args.threads)
+                           min_support=args.min_support)
     for label in labels:
         shown = "/".join(names[r] for r in label.relations)
         print(f"{label.kind:13s} {shown:40s} support={label.support:5d} "
@@ -552,10 +548,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="directory for report.tsv / report.json")
     p.add_argument("--labels", help="mined-pattern TSV for subgroup metrics")
     p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--deterministic", action="store_true",
-                   help="accepted for symmetry with train; evaluation "
-                        "assembles per-chunk results in a fixed order, so "
-                        "it is bit-deterministic at any thread count")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("mine-patterns", help="mine relation patterns from triples")
@@ -565,7 +557,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="labels TSV path")
     p.add_argument("--min-coverage", type=float, default=0.2, dest="min_coverage")
     p.add_argument("--min-support", type=int, default=10, dest="min_support")
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=cmd_mine_patterns)
 
     p = sub.add_parser("extract-axioms",

@@ -1,12 +1,17 @@
 """Predicates on rotation parameters behind ontology axiom forms.
 
 Each window predicate reports a signed margin (radians, or the tighter of a
-radian and a scale slack) such that `holds == (margin >= -tol)`.  The default
-forms are the sound ones: whenever a predicate holds, the corresponding
+radian and a scale slack) such that `holds == (margin >= -tol)`.  The
+predicates are sound: whenever one holds, the corresponding
 subset/fixed-point relation verified by the cone algebra holds on every
-unsaturated cone.  The looser composition forms that drop the half-width
-factor (and ignore the doubled axis shift) are kept behind `form="printed"`
-for auditing; they are sufficient conditions only in special cases.
+unsaturated cone.
+
+The `*_margin` functions are the per-dimension margins of the
+width-preserving forms.  They take floats or arrays of any broadcastable
+shape, and both the scalar predicates below and the vectorised axiom
+extraction in `conequery.axioms` call them, so each formula lives here
+alone.  Angles enter through `turn_distance`, so every margin acts on
+angles modulo full turns.
 
 The exact_* checks are per-coordinate angle congruences on boundary-rotor
 vectors, with a default tolerance of 1e-6 rad.
@@ -14,12 +19,11 @@ vectors, with a default tolerance of 1e-6 rad.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from conequery.cones import ANGLE_TOL, TWO_PI, Rotation
+from conequery.cones import ANGLE_TOL, Rotation, turn_distance
 
 # Closed enumeration of the supported axiom forms.
 CONTAINMENT = "containment"
@@ -33,8 +37,6 @@ PATTERN_KINDS = (CONTAINMENT, COMPOSITION, TRANSITIVITY, INVERSE, SYMMETRY, ASYM
 
 EXACT_TOL = 1e-6
 
-_FORMS = ("derived", "printed")
-
 
 @dataclass(frozen=True)
 class ConditionReport:
@@ -47,30 +49,55 @@ def _report(kind: str, margin: float, tol: float) -> ConditionReport:
     return ConditionReport(kind, margin >= -tol, margin)
 
 
-def _turn_dist(x) -> float:
-    """Distance from an angle (or angle array) to the nearest multiple of 2*pi."""
-    x = np.asarray(x, dtype=float)
-    d = np.abs(x - np.round(x / TWO_PI) * TWO_PI)
-    return float(d) if d.ndim == 0 else d
+# ---------------------------------------------------------------------------
+# Per-dimension margins of the width-preserving rotations R(theta, 1, delta).
+# ---------------------------------------------------------------------------
 
 
-def _check_form(form: str) -> None:
-    if form not in _FORMS:
-        raise ValueError(f"unknown condition form {form!r}")
+def symmetry_margin(theta, delta, gamma=1.0):
+    """Slack of the symmetry window: some full turn lies within
+    (gamma+1)*delta/2 of 2*theta."""
+    return 0.5 * (gamma + 1.0) * delta - turn_distance(2.0 * theta)
+
+
+def containment_margin(theta_r, delta_r, theta_s, delta_s):
+    """r's images inside s's: the relative axis shift theta_s - theta_r sits
+    within half the extra widening, (delta_s - delta_r)/2."""
+    return 0.5 * (delta_s - delta_r) - turn_distance(theta_s - theta_r)
+
+
+def composition_margin(theta1, delta1, theta2, delta2, theta3, delta3):
+    """r1-then-r2's images inside r3's: the chained axis shift sits within
+    half the spare widening, (delta3 - delta1 - delta2)/2."""
+    return 0.5 * (delta3 - delta1 - delta2) - turn_distance(theta3 - theta1 - theta2)
+
+
+def transitivity_margin(theta, delta):
+    """The composition margin at r1 = r2 = r3."""
+    return composition_margin(theta, delta, theta, delta, theta, delta)
+
+
+def inverse_margin(r_upper, r_lower, s_upper, s_lower):
+    """Boundary-rotor congruence: minus the larger distance from
+    r_upper + s_upper and r_lower + s_lower to a full turn."""
+    return -np.maximum(turn_distance(r_upper + s_upper),
+                       turn_distance(r_lower + s_lower))
+
+
+# ---------------------------------------------------------------------------
+# Scalar predicates on Rotation objects.
+# ---------------------------------------------------------------------------
 
 
 def containment_additive(r: Rotation, s: Rotation, tol: float = ANGLE_TOL) -> ConditionReport:
     """r's images always inside s's images, for width-preserving rotations.
 
-    Requires s's widening window to cover r's on both boundaries:
-    s.theta + s.delta/2 >= r.theta + r.delta/2 and
-    s.theta - s.delta/2 <= r.theta - r.delta/2.
+    Requires s's widening window to cover r's on both boundaries, modulo
+    full turns (see ``containment_margin``).
     """
     if r.gamma != 1.0 or s.gamma != 1.0:
         raise ValueError("containment_additive needs gamma == 1 on both rotations")
-    upper_slack = (s.theta + 0.5 * s.delta) - (r.theta + 0.5 * r.delta)
-    lower_slack = (r.theta - 0.5 * r.delta) - (s.theta - 0.5 * s.delta)
-    return _report(CONTAINMENT, min(upper_slack, lower_slack), tol)
+    return _report(CONTAINMENT, containment_margin(r.theta, r.delta, s.theta, s.delta), tol)
 
 
 def containment_multiplicative(r: Rotation, s: Rotation, tol: float = ANGLE_TOL) -> ConditionReport:
@@ -85,27 +112,20 @@ def composition_additive(
     r2: Rotation,
     r3: Rotation,
     tol: float = ANGLE_TOL,
-    form: str = "derived",
     kind: str = COMPOSITION,
 ) -> ConditionReport:
     """r3's images contain the images of r1-then-r2 (width-preserving case).
 
-    Derived form: the chained axis shift must sit within half the spare
-    widening, |theta3 - (theta1 + theta2)| <= (delta3 - delta1 - delta2)/2,
-    taken modulo full turns.  The printed form drops the half factor and
-    cancels theta2 on the left; it is retained for auditing only.
+    The chained axis shift must sit within half the spare widening,
+    |theta3 - theta1 - theta2| <= (delta3 - delta1 - delta2)/2, taken
+    modulo full turns (see ``composition_margin``).
     """
-    _check_form(form)
     for r in (r1, r2, r3):
         if r.gamma != 1.0:
             raise ValueError("composition_additive needs gamma == 1 on all rotations")
         if r.delta < 0.0:
             raise ValueError("composition_additive needs non-negative aperture shifts")
-    if form == "printed":
-        margin = (r3.delta - r1.delta - r2.delta) - abs(r2.theta - (r1.theta + r2.theta))
-        return _report(kind, margin, tol)
-    spare = 0.5 * (r3.delta - r1.delta - r2.delta)
-    margin = spare - _turn_dist(r3.theta - (r1.theta + r2.theta))
+    margin = composition_margin(r1.theta, r1.delta, r2.theta, r2.delta, r3.theta, r3.delta)
     return _report(kind, margin, tol)
 
 
@@ -114,34 +134,28 @@ def composition_multiplicative(
     r2: Rotation,
     r3: Rotation,
     tol: float = ANGLE_TOL,
-    form: str = "derived",
     kind: str = COMPOSITION,
 ) -> ConditionReport:
     """Containment of the chained action for equal-axis-shift rotations.
 
-    Derived form: gamma1*gamma2 <= gamma3 and the spare widening must absorb
-    both the chained shifts and the doubled axis offset:
-    2*dist(theta) + gamma2*delta1 + delta2 <= delta3.  The printed form
-    checks delta1 + delta2 <= delta3 and ignores the axis offset.
+    gamma1*gamma2 <= gamma3, and the spare widening must absorb both the
+    chained shifts and the doubled axis offset:
+    2*dist(theta) + gamma2*delta1 + delta2 <= delta3.
     """
-    _check_form(form)
     if abs(r1.theta - r2.theta) > tol or abs(r1.theta - r3.theta) > tol:
         raise ValueError("composition_multiplicative needs equal axis shifts")
     if r1.delta < 0.0 or r2.delta < 0.0:
         raise ValueError("composition_multiplicative needs non-negative aperture shifts")
     gamma_slack = r3.gamma - r1.gamma * r2.gamma
-    if form == "printed":
-        delta_slack = r3.delta - (r1.delta + r2.delta)
-    else:
-        delta_slack = r3.delta - (r2.gamma * r1.delta + r2.delta) - 2.0 * _turn_dist(r1.theta)
+    delta_slack = r3.delta - (r2.gamma * r1.delta + r2.delta) - 2.0 * turn_distance(r1.theta)
     return _report(kind, min(gamma_slack, delta_slack), tol)
 
 
-def transitivity(r: Rotation, tol: float = ANGLE_TOL, form: str = "derived") -> ConditionReport:
+def transitivity(r: Rotation, tol: float = ANGLE_TOL) -> ConditionReport:
     """Containment of r-then-r inside r, via the matching composition predicate."""
     if r.gamma == 1.0:
-        return composition_additive(r, r, r, tol, form, kind=TRANSITIVITY)
-    return composition_multiplicative(r, r, r, tol, form, kind=TRANSITIVITY)
+        return composition_additive(r, r, r, tol, kind=TRANSITIVITY)
+    return composition_multiplicative(r, r, r, tol, kind=TRANSITIVITY)
 
 
 def symmetry(r: Rotation, tol: float = ANGLE_TOL) -> ConditionReport:
@@ -154,8 +168,7 @@ def symmetry(r: Rotation, tol: float = ANGLE_TOL) -> ConditionReport:
         raise ValueError("symmetry needs gamma >= 1")
     if r.delta < 0.0:
         raise ValueError("symmetry needs non-negative aperture shift")
-    window = 0.5 * (r.gamma + 1.0) * r.delta
-    return _report(SYMMETRY, window - _turn_dist(2.0 * r.theta), tol)
+    return _report(SYMMETRY, symmetry_margin(r.theta, r.delta, r.gamma), tol)
 
 
 def asymmetry(r: Rotation, tol: float = ANGLE_TOL) -> ConditionReport:
@@ -181,13 +194,13 @@ def _as_vectors(*vecs):
 def exact_symmetry(r_upper, r_lower, tol: float = EXACT_TOL) -> np.ndarray:
     """Per coordinate: both boundary rotors square to the identity (2*theta is a full turn)."""
     up, lo = _as_vectors(r_upper, r_lower)
-    return (_turn_dist(2.0 * up) <= tol) & (_turn_dist(2.0 * lo) <= tol)
+    return (turn_distance(2.0 * up) <= tol) & (turn_distance(2.0 * lo) <= tol)
 
 
 def exact_inverse(r1_upper, r1_lower, r2_upper, r2_lower, tol: float = EXACT_TOL) -> np.ndarray:
     """Per coordinate: the second rotor undoes the first on both boundaries."""
     u1, l1, u2, l2 = _as_vectors(r1_upper, r1_lower, r2_upper, r2_lower)
-    return (_turn_dist(u1 + u2) <= tol) & (_turn_dist(l1 + l2) <= tol)
+    return inverse_margin(u1, l1, u2, l2) >= -tol
 
 
 def exact_composition(
@@ -197,4 +210,4 @@ def exact_composition(
     u1, l1, u2, l2, u3, l3 = _as_vectors(
         r1_upper, r1_lower, r2_upper, r2_lower, r3_upper, r3_lower
     )
-    return (_turn_dist(u1 + u2 - u3) <= tol) & (_turn_dist(l1 + l2 - l3) <= tol)
+    return (turn_distance(u1 + u2 - u3) <= tol) & (turn_distance(l1 + l2 - l3) <= tol)

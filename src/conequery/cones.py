@@ -8,6 +8,9 @@ operations on them, and aperture-scaling rotations acting on both.
 Every angle comparison in this module shares the absolute tolerance
 ANGLE_TOL; two multicones denote the same region iff their canonical forms
 agree boundary-by-boundary within that tolerance.
+
+PI, TWO_PI, wrap_angle and turn_distance are defined here for the whole
+package; the last two take floats and numpy arrays alike.
 """
 
 from __future__ import annotations
@@ -15,6 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 PI = math.pi
 TWO_PI = 2.0 * math.pi
@@ -29,13 +34,19 @@ FULL = "full"
 PROPER = "proper"
 
 
-def wrap_angle(t: float) -> float:
-    """Reduce an angle to the half-open interval [-pi, pi)."""
+def wrap_angle(t):
+    """Reduce an angle (a float or an array) to the half-open interval [-pi, pi)."""
     w = (t + PI) % TWO_PI - PI
     # Float modulo can land exactly on the upper seam for tiny negatives.
-    if w >= PI:
-        w -= TWO_PI
-    return w
+    if isinstance(w, float):
+        return w - TWO_PI if w >= PI else w
+    return np.where(w >= PI, w - TWO_PI, w)
+
+
+def turn_distance(x):
+    """Distance from an angle (a float or an array) to the nearest multiple of 2*pi."""
+    d = np.abs(x - np.round(np.divide(x, TWO_PI)) * TWO_PI)
+    return float(d) if d.ndim == 0 else d
 
 
 @dataclass(frozen=True)

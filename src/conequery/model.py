@@ -28,6 +28,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import autodiff as ad
+from .cones import PI, TWO_PI
 from .queries import (
     STRUCTURE_TEMPLATES,
     Intersection,
@@ -58,13 +59,11 @@ __all__ = [
     "cone_entity_distance",
     "dnf_entity_distance",
     "margin_loss",
+    "batch_loss",
     "param_count",
     "param_breakdown",
     "intersection_net_param_count",
 ]
-
-PI = math.pi
-TWO_PI = 2.0 * math.pi
 
 #: How an existential edge changes the aperture: "additive" adds the
 #: relation's aperture offset (the default and the ablation winner),
@@ -578,6 +577,23 @@ def margin_loss(pos_dist, neg_dist, margin: float):
     pos_term = ad.log(ad.sigmoid(ad.subtract(float(margin), pos_dist)))
     neg_term = ad.mean(ad.log(ad.sigmoid(ad.subtract(neg_dist, float(margin)))), axis=-1)
     return ad.multiply(ad.mean(ad.add(pos_term, neg_term)), -1.0)
+
+
+def batch_loss(m: ModelParams, tag: str, anchors, relations, positives, negatives,
+               lam: float, margin: float):
+    """The training objective of one single-structure batch: embed the
+    queries, score each against its positive, widen every disjunct to
+    (batch, 1, d) to score it against its (batch, k) negatives, and return
+    the margin loss.  Training and the full-loss gradient audit both run it.
+    """
+    size = positives.shape[0]
+    disjuncts = embed_structure(m, tag, anchors, relations)
+    pos_dist = dnf_entity_distance(disjuncts, entity_points(m, positives), lam)
+    wide = [ConeBatch(ad.reshape(c.axis, (size, 1, m.d)),
+                      ad.reshape(c.aperture, (size, 1, m.d)))
+            for c in disjuncts]
+    neg_dist = dnf_entity_distance(wide, entity_points(m, negatives), lam)
+    return margin_loss(pos_dist, neg_dist, margin)
 
 
 # ---------------------------------------------------------------------------

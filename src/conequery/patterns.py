@@ -23,7 +23,6 @@ inflate counts.
 from __future__ import annotations
 
 from collections import defaultdict
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -90,7 +89,6 @@ def mine_patterns(
     triples: Sequence[tuple[int, int, int]],
     min_coverage: float = 0.2,
     min_support: int = 10,
-    threads: int = 1,
 ) -> list[PatternLabel]:
     """Mine pattern labels from ``(head, relation, tail)`` triples.
 
@@ -106,9 +104,8 @@ def mine_patterns(
 
     Returns labels with ``coverage >= min_coverage`` and
     ``support >= min_support``, deterministically ordered by kind, then
-    coverage (descending), then relation ids.  ``threads > 1`` parallelises
-    the composition scan over the leading relation; counting is exact either
-    way.
+    coverage (descending), then relation ids.  The scan is pure Python and
+    runs in the calling thread.
     """
     if not triples:
         raise ValueError("mine_patterns requires a nonempty triple list")
@@ -147,8 +144,7 @@ def mine_patterns(
         for a, b in pairs[r]:
             tails_by_head[r][a].append(b)
 
-    def scan_r1(r1: int) -> list[PatternLabel]:
-        found: list[PatternLabel] = []
+    for r1 in rel_ids:
         for r2 in rel_ids:
             joined = {
                 (a, c)
@@ -159,26 +155,10 @@ def mine_patterns(
                 continue
             for r3 in rel_ids:
                 matched = sum(pair in pairs[r3] for pair in joined)
-                if matched < min_support:
-                    continue
-                coverage = matched / len(joined)
-                if coverage < min_coverage:
-                    continue
                 if r1 == r2 == r3:
-                    found.append(
-                        PatternLabel(TRANSITIVITY, (r1,), matched, coverage))
+                    consider(TRANSITIVITY, (r1,), matched, len(joined))
                 else:
-                    found.append(PatternLabel(
-                        COMPOSITION, (r1, r2, r3), matched, coverage))
-        return found
-
-    if threads > 1 and len(rel_ids) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for found in pool.map(scan_r1, rel_ids):
-                labels.extend(found)
-    else:
-        for r1 in rel_ids:
-            labels.extend(scan_r1(r1))
+                    consider(COMPOSITION, (r1, r2, r3), matched, len(joined))
 
     labels.sort(key=_label_sort_key)
     return labels

@@ -12,21 +12,13 @@ from __future__ import annotations
 import json
 import math
 import os
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from . import autodiff as ad
-from .model import (
-    ConeBatch,
-    ModelParams,
-    ParameterStore,
-    dnf_entity_distance,
-    embed_structure,
-    entity_points,
-    margin_loss,
-)
+from .model import ModelParams, ParameterStore, batch_loss
 from .queries import ALL_STRUCTURES, KnowledgeGraph, QueryInstance, sample_instance
 
 __all__ = [
@@ -95,7 +87,6 @@ class TrainingConfig:
     eval_every: int = 1000
     patience: int = 5
     threads: int = 1
-    deterministic: bool = False
 
     def __post_init__(self) -> None:
         for name in ("d", "b", "n", "steps", "checkpoint_every", "eval_every",
@@ -260,15 +251,15 @@ def _shard_bounds(size: int, shards: int) -> list[tuple[int, int]]:
 
 
 def batch_loss_and_grads(store: ParameterStore, tag: str, anchors, relations,
-                         positives, negatives, *, lam: float, threads: int = 1,
-                         deterministic: bool = True) -> tuple[float, dict[str, np.ndarray]]:
+                         positives, negatives, *, lam: float,
+                         threads: int = 1) -> tuple[float, dict[str, np.ndarray]]:
     """Mean margin loss of one single-structure batch plus its gradients.
 
     ``anchors`` is (batch, anchor slots), ``relations`` (batch, relation
     slots), ``positives`` (batch,), ``negatives`` (batch, k).  With
     ``threads`` > 1 the batch splits into contiguous shards whose gradients
-    are weight-summed by one accumulator; unless ``deterministic``, shards
-    join in completion order, so float summation order may vary run to run.
+    are weight-summed in shard order, so the result is bit-identical at any
+    fixed thread count.
     """
     anchors = np.asarray(anchors, dtype=np.int64)
     relations = np.asarray(relations, dtype=np.int64)
@@ -281,15 +272,8 @@ def batch_loss_and_grads(store: ParameterStore, tag: str, anchors, relations,
     def run_shard(lo: int, hi: int) -> tuple[float, dict[str, np.ndarray]]:
         tape = ad.Tape()
         m = store.tensors(tape)
-        disjuncts = embed_structure(m, tag, anchors[lo:hi], relations[lo:hi])
-        pos_dist = dnf_entity_distance(disjuncts, entity_points(m, positives[lo:hi]), lam)
-        wide = [
-            ConeBatch(ad.reshape(c.axis, (hi - lo, 1, store.d)),
-                      ad.reshape(c.aperture, (hi - lo, 1, store.d)))
-            for c in disjuncts
-        ]
-        neg_dist = dnf_entity_distance(wide, entity_points(m, negatives[lo:hi]), lam)
-        loss = margin_loss(pos_dist, neg_dist, store.margin)
+        loss = batch_loss(m, tag, anchors[lo:hi], relations[lo:hi], positives[lo:hi],
+                          negatives[lo:hi], lam, store.margin)
         tape.backward(loss)
         grads = {}
         for name in store.trainable_names():
@@ -303,26 +287,14 @@ def batch_loss_and_grads(store: ParameterStore, tag: str, anchors, relations,
 
     total_loss = 0.0
     total_grads = _zero_moments(store)
-
-    def accumulate(result: tuple[float, dict[str, np.ndarray]], weight: float) -> None:
-        nonlocal total_loss
-        loss, grads = result
-        total_loss += weight * loss
-        for name, g in grads.items():
-            total_grads[name] += weight * g
-
     with ThreadPoolExecutor(max_workers=len(bounds)) as pool:
         futures = [pool.submit(run_shard, lo, hi) for lo, hi in bounds]
-        if deterministic:
-            for fut, (lo, hi) in zip(futures, bounds):
-                accumulate(fut.result(), (hi - lo) / size)
-        else:
-            weights = {fut: (hi - lo) / size for fut, (lo, hi) in zip(futures, bounds)}
-            pending = set(futures)
-            while pending:
-                done, pending = wait(pending, return_when=FIRST_COMPLETED)
-                for fut in done:
-                    accumulate(fut.result(), weights[fut])
+        for fut, (lo, hi) in zip(futures, bounds):
+            weight = (hi - lo) / size
+            loss, grads = fut.result()
+            total_loss += weight * loss
+            for name, g in grads.items():
+                total_grads[name] += weight * g
     return total_loss, total_grads
 
 
@@ -385,10 +357,8 @@ def train(instances, n_entities: int, n_relations: int, cfg: TrainingConfig, *,
             positives[i] = answers[int(rng.integers(len(answers)))]
             negatives[i] = sample_negatives(q, cfg.n, rng, n_entities)
 
-        loss, grads = batch_loss_and_grads(
-            state.store, tag, anchors, rels, positives, negatives, lam=cfg.lam,
-            threads=cfg.threads, deterministic=cfg.deterministic or cfg.threads == 1,
-        )
+        loss, grads = batch_loss_and_grads(state.store, tag, anchors, rels, positives,
+                                           negatives, lam=cfg.lam, threads=cfg.threads)
         if not math.isfinite(loss):
             raise TrainingDiverged(
                 f"loss became {loss} at step {state.step + 1} on structure {tag!r};"
@@ -485,7 +455,10 @@ def load_checkpoint(path: str) -> TrainState:
             raise ValueError(
                 f"{path}: unsupported checkpoint version {meta.get('version')!r}"
             )
-        cfg = TrainingConfig(**meta["config"])
+        # Checkpoints written before shards always joined in order carry a
+        # "deterministic" flag, which no longer changes anything.
+        config = {k: v for k, v in meta["config"].items() if k != "deterministic"}
+        cfg = TrainingConfig(**config)
         store = ParameterStore(meta["n_entities"], meta["n_relations"], meta["d"],
                                seed=0, rotation_mode=meta["rotation_mode"])
         expected = {"param." + name for name in store.arrays}
@@ -613,13 +586,7 @@ def gradient_check_model(n_instances: int = 20, d: int = 8, seed: int = 0, *,
         def f(*leaves):
             m = ModelParams(d=d, rotation_mode=store.rotation_mode,
                             **dict(zip(names, leaves)))
-            disjuncts = embed_structure(m, tag, anchors, rels)
-            pos_dist = dnf_entity_distance(disjuncts, entity_points(m, pos), lam)
-            wide = [ConeBatch(ad.reshape(c.axis, (1, 1, d)),
-                              ad.reshape(c.aperture, (1, 1, d)))
-                    for c in disjuncts]
-            neg_dist = dnf_entity_distance(wide, entity_points(m, neg), lam)
-            return margin_loss(pos_dist, neg_dist, margin)
+            return batch_loss(m, tag, anchors, rels, pos, neg, lam, margin)
 
         # Only entity rows the instance references can influence the loss.
         rows = np.unique(np.concatenate([anchors.ravel(), pos, neg.ravel()]))

@@ -293,6 +293,16 @@ class TestStoreExtraction:
         assert (SYMMETRY, (0,)) in kinds_of(out)
 
 
+    def test_axis_just_below_the_seam_wraps_to_minus_pi(self):
+        # The principal range is [-pi, pi): the float below -pi must not
+        # come back as +pi.
+        store = ParameterStore(n_entities=5, n_relations=2, d=4, seed=0)
+        store.arrays["relation_axis"][0] = np.nextafter(-np.pi, -np.inf)
+        theta, _ = relation_rotation_angles(store)
+        assert np.all(theta[0] == -np.pi)
+        assert np.all((theta >= -np.pi) & (theta < np.pi))
+
+
 class TestOntologyFile:
     NAMES = ["colleague", "advises", "advisedBy", "worksAt"]
 

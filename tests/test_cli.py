@@ -150,7 +150,7 @@ class TestTrainEval:
                 "--test", str(data_dir / "test.jsonl")]
         main(args)
         serial = capsys.readouterr().out
-        main(args + ["--threads", "4", "--deterministic"])
+        main(args + ["--threads", "4"])
         assert capsys.readouterr().out == serial
 
     def test_missing_checkpoint_fails_cleanly(self, data_dir):
@@ -255,6 +255,18 @@ class TestParserBehavior:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--data", "d", "--out", "o", "--deterministic"],
+        ["multi-seed", "--data", "d", "--deterministic"],
+        ["eval", "--ckpt", "c", "--test", "t", "--deterministic"],
+        ["mine-patterns", "--triples", "t", "--out", "o", "--threads", "2"],
+    ])
+    def test_removed_flags_exit_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_console_script_installed(self):
         proc = subprocess.run(

@@ -70,16 +70,9 @@ def test_composition_additive_examples():
     r1, r2 = Rotation(0.3, 1, 0.05), Rotation(0.2, 1, 0.05)
     assert composition_additive(r1, r2, Rotation(0.5, 1, 0.2)).holds
     assert not composition_additive(r1, r2, Rotation(0.7, 1, 0.2)).holds
-
-
-def test_composition_additive_printed_form_differs():
-    # the printed inequality cancels theta2 and keeps the full spare width
-    r1, r2 = Rotation(0.0, 1, 0.0), Rotation(0.0, 1, 0.0)
-    r3 = Rotation(0.3, 1, 0.4)
-    assert composition_additive(r1, r2, r3, form="printed").holds  # |0 - 0| <= 0.4
-    assert not composition_additive(r1, r2, r3).holds  # 0.3 > 0.2
-    with pytest.raises(ValueError):
-        composition_additive(r1, r2, r3, form="bogus")
+    # the chained shift must fit in half the spare width: 0.3 > 0.4 / 2
+    zero = Rotation(0.0, 1, 0.0)
+    assert not composition_additive(zero, zero, Rotation(0.3, 1, 0.4)).holds
 
 
 def test_composition_additive_preconditions():
@@ -101,15 +94,9 @@ def test_composition_multiplicative_examples():
         composition_multiplicative(
             Rotation(0.0, 1, 0), Rotation(0.2, 1, 0), Rotation(0.0, 1, 0)
         )
-
-
-def test_composition_multiplicative_printed_ignores_axis_offset():
-    # printed form holds at any shared axis shift; derived form charges 2*theta
-    r1 = Rotation(0.4, 0.5, 0.0)
-    r2 = Rotation(0.4, 0.5, 0.0)
-    r3 = Rotation(0.4, 0.5, 0.1)
-    assert composition_multiplicative(r1, r2, r3, form="printed").holds
-    assert not composition_multiplicative(r1, r2, r3).holds
+    # the spare widening must absorb the doubled shared axis shift, 2 * 0.4
+    r = Rotation(0.4, 0.5, 0.0)
+    assert not composition_multiplicative(r, r, Rotation(0.4, 0.5, 0.1)).holds
 
 
 def test_transitivity_examples():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conequery import autodiff as ad
 from conequery.cones import (
     EMPTY,
     EMPTY_MC,
@@ -31,6 +32,7 @@ from conequery.cones import (
     mc_union,
     parse_cone_spec,
     rotate,
+    turn_distance,
     wrap_angle,
 )
 
@@ -94,6 +96,54 @@ def test_wrap_angle_range():
         w = wrap_angle(t)
         assert -PI <= w < PI
         assert angle_dist(w, t) < 1e-9
+
+
+def _reference_wrap_float(t):
+    w = (t + PI) % TWO_PI - PI
+    if w >= PI:
+        w -= TWO_PI
+    return w
+
+
+def _reference_wrap_array(x):
+    out = (x + math.pi) % TWO_PI - math.pi
+    return np.where(out >= math.pi, out - TWO_PI, out)
+
+
+def _reference_turn_distance(x):
+    return np.abs(x - np.round(x / TWO_PI) * TWO_PI)
+
+
+def _angles_with_seams():
+    edges = [k * PI for k in range(-15, 16)] + [50.0, -50.0]
+    near = [np.nextafter(e, s) for e in edges for s in (-np.inf, np.inf)]
+    rng = np.random.default_rng(5)
+    return np.concatenate([edges, near, [0.0, -0.0], rng.uniform(-50.0, 50.0, 1999)])
+
+
+def test_wrap_angle_bit_identical_to_reference_on_floats_and_arrays():
+    values = _angles_with_seams()
+    floats = [wrap_angle(float(t)) for t in values]
+    assert all(isinstance(w, float) for w in floats)
+    want = [_reference_wrap_float(float(t)) for t in values]
+    assert np.array(floats).tobytes() == np.array(want).tobytes()
+
+    got = wrap_angle(values)
+    assert got.tobytes() == _reference_wrap_array(values).tobytes()
+    assert got.tobytes() == np.array(want).tobytes()
+    assert np.all((got >= -PI) & (got < PI))
+    assert np.array_equal(wrap_angle(values.reshape(-1, 2)), got.reshape(-1, 2))
+    assert np.array_equal(ad.wrap(values), got)
+    assert np.array_equal(ad.wrap(ad.Tape().leaf(values)).values, got)
+
+
+def test_turn_distance_bit_identical_to_reference_on_floats_and_arrays():
+    values = _angles_with_seams()
+    got = turn_distance(values)
+    assert got.tobytes() == _reference_turn_distance(values).tobytes()
+    floats = [turn_distance(float(t)) for t in values]
+    assert all(isinstance(d, float) for d in floats)
+    assert np.array(floats).tobytes() == got.tobytes()
 
 
 # ---------------------------------------------------------------------------

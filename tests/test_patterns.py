@@ -125,7 +125,6 @@ class TestThresholdsAndDeterminism:
         kg = build_planted_kg(seed=0)
         serial = mine_patterns(kg.train)
         assert serial == mine_patterns(kg.train)
-        assert serial == mine_patterns(kg.train, threads=4)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError, match="nonempty"):

@@ -3,6 +3,7 @@ determinism, descent, and the full-loss gradient audit."""
 
 import dataclasses
 import gc
+import json
 import math
 import os
 import tracemalloc
@@ -228,10 +229,8 @@ def test_sharded_grads_match_single_shard(tiny_dataset):
     rng = np.random.default_rng(0)
     args = _tiny_batch(store, rng, instances)
     loss1, grads1 = batch_loss_and_grads(store, "1p", *args, lam=0.02, threads=1)
-    loss2, grads2 = batch_loss_and_grads(store, "1p", *args, lam=0.02, threads=3,
-                                         deterministic=True)
-    loss3, grads3 = batch_loss_and_grads(store, "1p", *args, lam=0.02, threads=3,
-                                         deterministic=True)
+    loss2, grads2 = batch_loss_and_grads(store, "1p", *args, lam=0.02, threads=3)
+    loss3, grads3 = batch_loss_and_grads(store, "1p", *args, lam=0.02, threads=3)
     assert math.isclose(loss1, loss2, rel_tol=1e-12)
     for name in grads1:
         assert np.allclose(grads1[name], grads2[name], atol=1e-12)
@@ -400,6 +399,35 @@ def test_resume_equals_uninterrupted(tiny_dataset, tmp_path):
     for name, arr in straight.store.arrays.items():
         assert np.array_equal(resumed.store.arrays[name], arr), name
     assert resumed.rng.bit_generator.state == straight.rng.bit_generator.state
+
+
+def test_resume_from_checkpoint_with_deterministic_key(tiny_dataset, tmp_path):
+    # Older checkpoints carry a "deterministic" config key, from when shards
+    # could join in completion order; loading ignores it.
+    instances, kg = tiny_dataset
+    full_cfg = _loop_cfg(steps=30)
+    straight, _ = train(instances, kg.n_entities, kg.n_relations, full_cfg)
+
+    halfway, _ = train(instances, kg.n_entities, kg.n_relations, _loop_cfg(steps=15))
+    path = str(tmp_path / "old.ckpt")
+    save_checkpoint(path, halfway)
+    with np.load(path) as npz:
+        payload = {key: npz[key] for key in npz.files}
+    meta = json.loads(payload["__meta__"].tobytes().decode("utf-8"))
+    meta["config"]["deterministic"] = False
+    payload["__meta__"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+    with open(path, "wb") as fh:
+        np.savez(fh, **payload)
+
+    loaded = load_checkpoint(path)
+    assert loaded.config == halfway.config
+    assert loaded.rng.bit_generator.state == halfway.rng.bit_generator.state
+    for name, arr in halfway.store.arrays.items():
+        assert np.array_equal(loaded.store.arrays[name], arr), name
+    loaded.config = full_cfg
+    resumed, _ = train(instances, kg.n_entities, kg.n_relations, full_cfg, state=loaded)
+    for name, arr in straight.store.arrays.items():
+        assert np.array_equal(resumed.store.arrays[name], arr), name
 
 
 def test_checkpoint_rejects_foreign_files(tmp_path):
