@@ -37,6 +37,10 @@ with L1 the summed |cos a - cos b| + |sin a - sin b| over dimensions:
   axis term, the first argument of each;  the aperture enters through
   upper/lower = axis +/- aperture/2, so it gets half the upper gradient minus
   half the lower one.
+The VJP routes each outside-min tie through the forward's choice: it copies
+the cos and sin of the chosen boundary (the upper one on a tie) and
+differentiates that boundary alone, and ``np.sign`` gives each |.| its
+slope 0 at an exact 0.
 """
 
 from __future__ import annotations

@@ -22,6 +22,7 @@ only queries of one structure, so the computation graph is shared.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -415,8 +416,26 @@ def embed_structure(m: ModelParams, tag: str, anchors, relations) -> list[ConeBa
 #: size, so no (batch, entities, d) array is ever allocated.  The forward
 #: keeps up to eight such temporaries (two buffers, six repeated cone
 #: operands); in ranking, this 2 MB working set measured faster than the
-#: 8 MB that 1 MB tiles make.
+#: 8 MB that 1 MB tiles make.  The VJP's three come from ``_scratch``; taken
+#: from there, the forward's measured slower in evaluation.
 _TILE_BYTES = 1 << 18
+
+_scratch_cache = threading.local()
+
+
+def _scratch(shape, count):
+    """``count`` float64 buffers of ``shape``, views into this thread's pool
+    (a buffer per index, grown to the largest request), valid until the
+    thread's next call.  Buffers over ``_TILE_BYTES`` (an entity row bigger
+    than a tile) are fresh and not kept."""
+    size = math.prod(shape)
+    if size * 8 > _TILE_BYTES:
+        return [np.empty(shape) for _ in range(count)]
+    pool = vars(_scratch_cache).setdefault("pool", [])
+    for i in range(count):
+        if i == len(pool) or pool[i].size < size:
+            pool[i:i + 1] = [np.empty(size)]
+    return [buf[:size].reshape(shape) for buf in pool[:count]]
 
 
 def _chord_l1(cos_a, sin_a, cos_b, sin_b, buf, tmp):
@@ -441,8 +460,11 @@ def cone_entity_distance(cone: ConeBatch, entity, lam: float):
     are used as given, or bare angles, whose cos/sin are computed here.
     One fused autodiff op (see ``autodiff.fused`` for its subgradient
     conventions): the entity rows (the second-to-last axis of the broadcast)
-    are processed in tiles of at most ``_TILE_BYTES`` per temporary.  Tape
-    inputs and plain arrays take the same path.
+    are processed in tiles of at most ``_TILE_BYTES`` per temporary.  The
+    VJP takes one sign per coordinate of the boundary the outside min chose
+    and one of the axis, in tile buffers reused per thread; where one cone
+    row serves every entity row, a matmul sums the cone's share over the
+    rows.  Tape inputs and plain arrays take the same path.
     """
     lam = float(lam)
     entity = _as_points(entity)
@@ -509,43 +531,54 @@ def cone_entity_distance(cone: ConeBatch, entity, lam: float):
 
     def vjp(g):
         g = g.reshape(full[:-1])
-        g_in = g * lam
-        # (weight, cos, sin, tiled cos, tiled sin) of the three cone-to-entity
-        # L1 sums
-        weights = (g * take_u, g * ~take_u, g_in * take_a)
-        terms = list(zip(weights, (cu, cl, ca), (su, sl, sa), cone_trig[0::2], cone_trig[1::2]))
-        g_cone = [np.zeros(cone_shape) for _ in terms]
-        g_ent = np.zeros(ce.shape) if need_ent else None
-        buf = None
+        # weights[..., j, r]: row r's weight on term j (upper, lower, axis)
+        weights = np.stack((g * take_u, g * ~take_u, g * lam * take_a), axis=-2)
+        gather = cone_shape[-2] == 1 < tile  # sum a tile's rows for the one cone row
+        prod = np.empty(full[:-2] + (3, width)) if gather else None
+        # per term (upper, lower, axis), the gradient through its angle:
+        # cos * (weighted sin signs) - sin * (weighted cos signs), tile by tile
+        trig = ((cu, su), (cl, sl), (ca, sa))
+        g_cone = [np.zeros(cone_shape) for _ in trig]
+        g_ent = (np.empty if ce.shape == full else np.zeros)(ce.shape) if need_ent else None
+        bufs = _scratch(full[:-2] + (tile, width), 3)
         for span in spans:
-            if buf is None or buf.shape[-2] != span.stop - span.start:
-                buf, tmp, diff, sum_c, sum_s = scratch(span, 5)
-            ce_t, se_t = rows_of(ce, span), rows_of(se, span)
-            if need_ent:
-                sum_c.fill(0.0)
-                sum_s.fill(0.0)
-            for k, (w, c, s, c_tiled, s_tiled) in enumerate(terms):
-                w_t = cols_of(w, span)[..., None]
-                # w * sign(cos x - cos e) and w * sign(sin x - sin e); sign
-                # whose output aliases its input runs about 4x slower
-                np.subtract(rows_of(c_tiled, span), ce_t, out=diff)
-                np.multiply(np.sign(diff, out=buf), w_t, out=buf)
-                np.subtract(rows_of(s_tiled, span), se_t, out=diff)
-                np.multiply(np.sign(diff, out=tmp), w_t, out=tmp)
-                c_t, s_t = rows_of(c, span), rows_of(s, span)
-                g_t = rows_of(g_cone[k], span)
-                g_t += c_t * ad._unbroadcast(tmp, g_t.shape)
-                g_t -= s_t * ad._unbroadcast(buf, g_t.shape)
-                if need_ent:
-                    sum_c += buf
-                    sum_s += tmp
-            if need_ent:
-                g_t = rows_of(g_ent, span)
-                g_t += se_t * ad._unbroadcast(sum_c, g_t.shape)
-                g_t -= ce_t * ad._unbroadcast(sum_s, g_t.shape)
+            diff, s_o, s_a = (b[..., :span.stop - span.start, :] for b in bufs)
+            w_t = weights[..., span]
+            tu = take_u[..., span, None]
+            # one-row operands, not the forward's repeats: measured faster here
+            cone_t = [rows_of(x, span) for x in (cu, su, cl, sl, ca, sa)]
+            for k in (1, 0):  # sin first: it writes the entity tile, cos completes it
+                e_t = rows_of((ce, se)[k], span)
+                # one sign for the boundary the outside min took, one for the
+                # axis; sign whose output aliases its input runs about 4x slower
+                np.copyto(diff, cone_t[2 + k])
+                np.copyto(diff, cone_t[k], where=tu)
+                np.sign(np.subtract(diff, e_t, out=diff), out=s_o)
+                np.sign(np.subtract(cone_t[4 + k], e_t, out=diff), out=s_a)
+                for sign, terms in ((s_o, (0, 1)), (s_a, (2,))):
+                    if gather:  # 3 weight rows: 1 would run gemv, which sums in another order
+                        np.matmul(w_t, sign, out=prod)
+                    for j in terms:
+                        part = prod[..., j, None, :] if gather else sign * w_t[..., j, :, None]
+                        g_j = rows_of(g_cone[j], span)
+                        if k:
+                            g_j += rows_of(trig[j][0], span) * ad._unbroadcast(part, g_j.shape)
+                        else:
+                            g_j -= rows_of(trig[j][1], span) * ad._unbroadcast(part, g_j.shape)
+                if need_ent:  # this coordinate's share of the entity gradient
+                    np.multiply(s_o, g[..., span, None], out=s_o)
+                    s_o += np.multiply(s_a, w_t[..., 2, :, None], out=s_a)
+                    g_t = rows_of(g_ent, span)
+                    if ce.shape != full:  # entity rows broadcast: sum into them
+                        part = rows_of((se, ce)[k], span) * ad._unbroadcast(s_o, g_t.shape)
+                        (np.add, np.subtract)[k](g_t, part, out=g_t)
+                    elif k:  # ce * acc_s, which the cos pass subtracts
+                        np.multiply(rows_of(ce, span), s_o, out=g_t)
+                    else:  # se * acc_c - ce * acc_s
+                        np.subtract(np.multiply(rows_of(se, span), s_o, out=s_o), g_t, out=g_t)
         g_u, g_l, g_a = g_cone
         # the cone-only upper-to-axis term of the inside min
-        w = ad._unbroadcast(g_in * ~take_a, p_ua.shape)[..., None]
+        w = ad._unbroadcast(g * lam * ~take_a, p_ua.shape)[..., None]
         sc, ss = np.sign(cu - ca) * w, np.sign(su - sa) * w
         g_u += cu * ss - su * sc
         g_a += sa * sc - ca * ss

@@ -1,6 +1,8 @@
 """Tests for the cone-embedding model operators, distances, and accounting."""
 
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -520,8 +522,11 @@ def _kink_case(name):
     return axis, aperture, entity
 
 
-@pytest.mark.parametrize("kink", ["aperture_zero", "aperture_full", "entity_on_boundary",
-                                  "upper_lower_tie", "axis_upper_to_axis_tie"])
+KINKS = ["aperture_zero", "aperture_full", "entity_on_boundary", "upper_lower_tie",
+         "axis_upper_to_axis_tie"]
+
+
+@pytest.mark.parametrize("kink", KINKS)
 def test_fused_distance_subgradients_at_kinks(kink):
     axis, aperture, entity = _kink_case(kink)
     lam = 0.7
@@ -539,6 +544,34 @@ def test_fused_distance_subgradients_at_kinks(kink):
                                                               entity, lam))
 
     weights = np.ones(dist.shape)
+    _assert_grads_close(
+        _distance_grads(cone_entity_distance, axis, aperture, entity, weights, lam),
+        _distance_grads(composed_cone_entity_distance, axis, aperture, entity, weights, lam))
+
+    def f(a, p, e):
+        return ad.total(cone_entity_distance(ConeBatch(a, p), e, lam))
+
+    assert ad.grad_check(f, [axis, aperture, entity], subgradient=True) < 1e-4
+
+
+@pytest.mark.parametrize("tile_rows", [3, 1])
+@pytest.mark.parametrize("kink", KINKS)
+def test_fused_distance_subgradients_at_kinks_over_tiles(monkeypatch, kink, tile_rows):
+    # the negatives layout: (2, 1, 2) cones against (2, 7, 2) entity rows in
+    # tiles of 3, 3 and 1 rows (a matmul sums each tile's rows) or of one
+    # row each; rows 0, 3 and 6 sit on the kink and the others are random
+    axis, aperture, kinked = _kink_case(kink)
+    rng = np.random.default_rng(26)
+    entity = rng.uniform(-PI, PI, size=(2, 7, 2))
+    entity[:, ::3] = kinked[:, None, :]
+    axis, aperture = axis[:, None, :], aperture[:, None, :]
+    monkeypatch.setattr(model, "_TILE_BYTES", tile_rows * 2 * 2 * 8)
+    lam = 0.7
+    dist = cone_entity_distance(ConeBatch(axis, aperture), entity, lam)
+    assert np.array_equal(dist, composed_cone_entity_distance(ConeBatch(axis, aperture),
+                                                              entity, lam))
+
+    weights = rng.normal(size=dist.shape)
     _assert_grads_close(
         _distance_grads(cone_entity_distance, axis, aperture, entity, weights, lam),
         _distance_grads(composed_cone_entity_distance, axis, aperture, entity, weights, lam))
@@ -593,6 +626,102 @@ def test_distance_table_peak_memory_stays_below_one_dense_array():
         tracemalloc.stop()
     assert table.shape == (chunk, n_entities)
     assert peak < dense_bytes
+
+
+def _capture_vjp(monkeypatch):
+    """Make ``ad.fused`` also append each VJP it records to the returned list."""
+    vjps = []
+    fused = ad.fused
+
+    def recording(out, inputs, vjp):
+        vjps.append(vjp)
+        return fused(out, inputs, vjp)
+
+    monkeypatch.setattr(ad, "fused", recording)
+    return vjps
+
+
+def test_distance_backward_peak_memory_stays_near_one_dense_array(monkeypatch):
+    # the negatives layout over 32 tiles: beside the (b, n, d) entity gradient
+    # it returns, the VJP may hold (b, n) weights and a few tiles, but no
+    # second (b, n, d) array such as a full sign or selection
+    rng = np.random.default_rng(27)
+    b, n, d = 16, 512, 128
+    axis, aperture, entity = _random_distance_inputs(rng, (b, 1, d), (b, n, d))
+    vjps = _capture_vjp(monkeypatch)
+    tape = ad.Tape()
+    leaves = [tape.leaf(x) for x in (axis, aperture, entity)]
+    dist = cone_entity_distance(ConeBatch(leaves[0], leaves[1]), leaves[2], 0.3)
+    g = rng.normal(size=dist.shape)
+    dense_bytes = b * n * d * 8
+    assert dense_bytes // model._TILE_BYTES == 32
+    tracemalloc.start()
+    try:
+        grads = vjps[0](g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert grads[2].shape == (b, n, d)
+    assert peak < dense_bytes + 12 * model._TILE_BYTES
+
+
+def _distance_and_grads(shape_pair, seed):
+    rng = np.random.default_rng(seed)
+    axis, aperture, entity = _random_distance_inputs(rng, *shape_pair)
+    dist = cone_entity_distance(ConeBatch(axis, aperture), entity, 0.3)
+    weights = rng.normal(size=dist.shape)
+    return [dist] + _distance_grads(cone_entity_distance, axis, aperture, entity, weights, 0.3)
+
+
+def test_distance_scratch_is_private_to_each_thread():
+    # four threads (more than this suite assumes cores) run forward and
+    # backward at different shapes at once, so each one's tiles would
+    # overwrite another's if the scratch were shared
+    shapes = [((16, 1, 64), (16, 96, 64)), ((16, 1, 64), (16, 40, 64)),
+              ((64, 64), (64, 64)), ((8, 1, 32), (300, 32))]
+    serial = [_distance_and_grads(pair, seed) for seed, pair in enumerate(shapes)]
+    results = [[] for _ in shapes]
+
+    def work(i):
+        for _ in range(5):
+            results[i].append(_distance_and_grads(shapes[i], i))
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(len(shapes))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for want, got in zip(serial, results):
+        assert len(got) == 5
+        for run in got:
+            assert all(np.array_equal(a, b) for a, b in zip(run, want))
+
+
+def test_distance_scratch_pool_is_bounded():
+    # in a fresh thread, whose pool starts empty; the VJP takes three buffers
+    rng = np.random.default_rng(28)
+    pools = []
+
+    def work():
+        for rows in range(1, 40):
+            axis, aperture, entity = _random_distance_inputs(rng, (3, 1, 4), (3, rows, 4))
+            _distance_grads(cone_entity_distance, axis, aperture, entity,
+                            np.ones((3, rows)), 0.3)
+        pools.append(list(model._scratch_cache.pool))
+
+    thread = threading.Thread(target=work)
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    (pool,) = pools
+    assert len(pool) == 3
+    assert all(buf.nbytes <= model._TILE_BYTES for buf in pool)
 
 
 # ---------------------------------------------------------------------------
