@@ -16,6 +16,10 @@ reference counting frees the graph as soon as the caller drops it, so a
 training loop holds one step's memory.  The nodes keep their values and
 gradients for inspection.
 
+A tensor's first gradient is the array its pull returned, not a copy, and
+later contributions rebind ``.grad`` to a new sum, so several tensors may
+share one ``.grad`` array (``wrap`` passes its own on): treat it as read-only.
+
 Subgradient conventions (fixed, documented):
   |x| at 0 -> 0;  pairwise min ties -> first argument;  reduced min ties ->
   first index;  clamp outside the range -> 0;  ReLU at 0 -> 0;  angle wrap
@@ -94,7 +98,7 @@ class Tape:
             for parent, pull in parents:
                 contrib = pull(node.grad)
                 if parent.grad is None:
-                    parent.grad = contrib.copy()
+                    parent.grad = contrib
                 else:
                     parent.grad = parent.grad + contrib
 

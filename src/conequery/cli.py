@@ -355,9 +355,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     state = load_checkpoint(args.ckpt)
     instances = read_queries_jsonl(args.test)
     inputs = [Path(args.ckpt), Path(args.test)]
-    threads = args.threads or 1
     report = evaluate_instances(state.store, instances,
-                                lam=state.config.lam, threads=threads)
+                                lam=state.config.lam, threads=args.threads)
     print(format_eval_table(report))
     n_entities = state.store.arrays["entity_axis"].shape[0]
     baseline = expected_random_mrr_for(instances, n_entities)
@@ -378,7 +377,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         write_report_tsv(tsv, report)
         write_report_json(js, report)
         write_manifest(out_dir, command="eval",
-                       config={"threads": threads, "lam": state.config.lam},
+                       config={"threads": args.threads, "lam": state.config.lam},
                        seed=None, inputs=inputs, outputs=[tsv, js],
                        started=started)
         log.info("wrote %s and %s", tsv, js)

@@ -107,13 +107,8 @@ def containment_multiplicative(r: Rotation, s: Rotation, tol: float = ANGLE_TOL)
     return _report(CONTAINMENT, min(s.gamma - r.gamma, s.delta - r.delta), tol)
 
 
-def composition_additive(
-    r1: Rotation,
-    r2: Rotation,
-    r3: Rotation,
-    tol: float = ANGLE_TOL,
-    kind: str = COMPOSITION,
-) -> ConditionReport:
+def composition_additive(r1: Rotation, r2: Rotation, r3: Rotation,
+                         tol: float = ANGLE_TOL) -> ConditionReport:
     """r3's images contain the images of r1-then-r2 (width-preserving case).
 
     The chained axis shift must sit within half the spare widening,
@@ -126,16 +121,11 @@ def composition_additive(
         if r.delta < 0.0:
             raise ValueError("composition_additive needs non-negative aperture shifts")
     margin = composition_margin(r1.theta, r1.delta, r2.theta, r2.delta, r3.theta, r3.delta)
-    return _report(kind, margin, tol)
+    return _report(COMPOSITION, margin, tol)
 
 
-def composition_multiplicative(
-    r1: Rotation,
-    r2: Rotation,
-    r3: Rotation,
-    tol: float = ANGLE_TOL,
-    kind: str = COMPOSITION,
-) -> ConditionReport:
+def composition_multiplicative(r1: Rotation, r2: Rotation, r3: Rotation,
+                               tol: float = ANGLE_TOL) -> ConditionReport:
     """Containment of the chained action for equal-axis-shift rotations.
 
     gamma1*gamma2 <= gamma3, and the spare widening must absorb both the
@@ -148,14 +138,14 @@ def composition_multiplicative(
         raise ValueError("composition_multiplicative needs non-negative aperture shifts")
     gamma_slack = r3.gamma - r1.gamma * r2.gamma
     delta_slack = r3.delta - (r2.gamma * r1.delta + r2.delta) - 2.0 * turn_distance(r1.theta)
-    return _report(kind, min(gamma_slack, delta_slack), tol)
+    return _report(COMPOSITION, min(gamma_slack, delta_slack), tol)
 
 
 def transitivity(r: Rotation, tol: float = ANGLE_TOL) -> ConditionReport:
-    """Containment of r-then-r inside r, via the matching composition predicate."""
-    if r.gamma == 1.0:
-        return composition_additive(r, r, r, tol, kind=TRANSITIVITY)
-    return composition_multiplicative(r, r, r, tol, kind=TRANSITIVITY)
+    """Containment of r-then-r inside r: the matching composition report, relabelled."""
+    compose = composition_additive if r.gamma == 1.0 else composition_multiplicative
+    rep = compose(r, r, r, tol)
+    return ConditionReport(TRANSITIVITY, rep.holds, rep.margin)
 
 
 def symmetry(r: Rotation, tol: float = ANGLE_TOL) -> ConditionReport:

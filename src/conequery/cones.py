@@ -69,14 +69,6 @@ def cone_from_axis(axis: float, aperture: float) -> Cone:
     return Cone(axis - half, axis + half)
 
 
-def singleton_cone(t: float) -> Cone:
-    return Cone(t, t)
-
-
-def empty_cone() -> Cone:
-    return Cone(1.0, 0.0)
-
-
 def full_cone() -> Cone:
     return Cone(-PI, PI)
 

@@ -172,6 +172,8 @@ def evaluate_instances(store: ParameterStore, instances, *, lam: float,
     against the immutable parameter snapshot; the reduction is per-query,
     which keeps the report deterministic for any thread count.
     """
+    if threads < 1:
+        raise ValueError("threads must be a positive integer")
     instances = [q for q in instances if q.easy or q.hard]
     if not instances:
         raise ValueError("nothing to evaluate")

@@ -103,9 +103,6 @@ def _net_shapes(d: int) -> dict[str, tuple[int, ...]]:
     }
 
 
-_NET_NAMES = tuple(_net_shapes(1))
-
-
 @dataclass
 class ModelParams:
     """A view of the parameter arrays, either plain numpy (evaluation) or
@@ -226,44 +223,38 @@ def _as_points(entity) -> EntityPoints:
     return EntityPoints(entity, np.cos(values), np.sin(values))
 
 
-def _wrapped_entities(m: ModelParams, entity_ids, trig: bool):
-    """Entity angles for ids, wrapped into [-pi, pi), as EntityPoints when
-    ``trig`` and as bare angles otherwise.
+def _checked_ids(table, ids, kind: str) -> np.ndarray:
+    """``ids`` as int64, each a row of ``table``."""
+    ids = np.asarray(ids, dtype=np.int64)
+    if ids.size and (ids.min() < 0 or ids.max() >= ad.values_of(table).shape[0]):
+        raise ValueError(f"{kind} id out of range")
+    return ids
+
+
+def entity_points(m: ModelParams, entity_ids) -> EntityPoints:
+    """Unit-circle points for entity ids: wrapped angles plus cos and sin.
 
     Wrapping and trig are elementwise, so they run on whichever is smaller:
     the gathered rows, or the whole table when there are more ids than table
     rows.  Both orders give the same values and the same gradients.
     """
-    ids = np.asarray(entity_ids, dtype=np.int64)
-    rows = ad.values_of(m.entity_axis).shape[0]
-    if ids.size and (ids.min() < 0 or ids.max() >= rows):
-        raise ValueError("entity id out of range")
-    if ids.size <= rows:
-        angles = ad.wrap(ad.gather(m.entity_axis, ids))
-        return _as_points(angles) if trig else angles
-    table = ad.wrap(m.entity_axis)
-    if not trig:
-        return ad.gather(table, ids)
-    points = _as_points(table)
-    return EntityPoints(ad.gather(table, ids), points.cos[ids], points.sin[ids])
-
-
-def entity_points(m: ModelParams, entity_ids) -> EntityPoints:
-    """Unit-circle points for entity ids: wrapped angles plus cos and sin."""
-    return _wrapped_entities(m, entity_ids, trig=True)
+    ids = _checked_ids(m.entity_axis, entity_ids, "entity")
+    if ids.size <= ad.values_of(m.entity_axis).shape[0]:
+        return _as_points(ad.wrap(ad.gather(m.entity_axis, ids)))
+    table = _as_points(ad.wrap(m.entity_axis))
+    return EntityPoints(ad.gather(table.angles, ids), table.cos[ids], table.sin[ids])
 
 
 def nominal_cone(m: ModelParams, entity_ids) -> ConeBatch:
     """The singleton set {e}: a cone at the entity's angles with aperture 0."""
-    axis = _wrapped_entities(m, entity_ids, trig=False)
+    ids = _checked_ids(m.entity_axis, entity_ids, "entity")
+    axis = ad.wrap(ad.gather(m.entity_axis, ids))
     return ConeBatch(axis, np.zeros(ad.values_of(axis).shape))
 
 
 def relation_rotation(m: ModelParams, relation_ids) -> tuple[object, object]:
     """Axis shift (wrapped) and nonnegative aperture offset for relation ids."""
-    ids = np.asarray(relation_ids, dtype=np.int64)
-    if ids.size and (ids.min() < 0 or ids.max() >= ad.values_of(m.relation_axis).shape[0]):
-        raise ValueError("relation id out of range")
+    ids = _checked_ids(m.relation_axis, relation_ids, "relation")
     rot_axis = ad.wrap(ad.gather(m.relation_axis, ids))
     rot_aperture = ad.absval(ad.gather(m.relation_aperture, ids))
     return rot_axis, rot_aperture
@@ -286,14 +277,6 @@ def project_cone(m: ModelParams, cone: ConeBatch, relation_ids) -> ConeBatch:
     return ConeBatch(axis, aperture)
 
 
-def _boundary_features(cone: ConeBatch) -> object:
-    """Concatenated [lower-boundary angles ; upper-boundary angles]."""
-    half = ad.multiply(cone.aperture, 0.5)
-    lower = ad.subtract(cone.axis, half)
-    upper = ad.add(cone.axis, half)
-    return ad.concat((lower, upper), axis=-1)
-
-
 def _mlp(x, w1, b1, w2, b2):
     hidden = ad.relu(ad.add(ad.matmul(x, w1), b1))
     return ad.add(ad.matmul(hidden, w2), b2)
@@ -308,29 +291,30 @@ def intersect_cones(m: ModelParams, cones: Sequence[ConeBatch]) -> ConeBatch:
     per-dimension minimum input aperture scaled by a sigmoid factor in (0,1)
     from a DeepSets network, so it never exceeds any input aperture.  Both
     parts are order-independent by construction.
+
+    The k inputs are stacked, so their axes (and their apertures) must share
+    one (batch, d) shape; each network then runs once over all k * batch
+    rows.
     """
     if len(cones) < 2:
         raise ValueError("intersection needs at least 2 inputs")
     if not m.has_net:
         raise ValueError("this parameter store was built without the intersection net")
-    feats = [_boundary_features(c) for c in cones]
+    axes = ad.stack([c.axis for c in cones], axis=0)  # (k, batch, d)
+    half = ad.multiply(ad.stack([c.aperture for c in cones], axis=0), 0.5)
+    # per input row: its lower-boundary angles, then its upper-boundary ones
+    feats = ad.concat((ad.subtract(axes, half), ad.add(axes, half)), axis=-1)
+    stacked = ad.values_of(feats).shape[:-1] + (m.d,)
+    rows = ad.reshape(feats, (-1, 2 * m.d))
 
-    scores = ad.stack(
-        [_mlp(f, m.attn_w1, m.attn_b1, m.attn_w2, m.attn_b2) for f in feats], axis=0
-    )
-    attn = ad.softmax(scores, axis=0)  # (n, ..., d), convex across inputs
-    axes = ad.stack([c.axis for c in cones], axis=0)
+    scores = ad.reshape(_mlp(rows, m.attn_w1, m.attn_b1, m.attn_w2, m.attn_b2), stacked)
+    attn = ad.softmax(scores, axis=0)  # convex across inputs
     x = ad.total(ad.multiply(attn, ad.cos(axes)), axis=0)
     y = ad.total(ad.multiply(attn, ad.sin(axes)), axis=0)
     axis = ad.wrap(ad.atan2(y, x))
 
-    pooled = ad.mean(
-        ad.stack(
-            [_mlp(f, m.ds_in_w1, m.ds_in_b1, m.ds_in_w2, m.ds_in_b2) for f in feats],
-            axis=0,
-        ),
-        axis=0,
-    )
+    inner = _mlp(rows, m.ds_in_w1, m.ds_in_b1, m.ds_in_w2, m.ds_in_b2)
+    pooled = ad.mean(ad.reshape(inner, stacked), axis=0)
     factor = ad.sigmoid(_mlp(pooled, m.ds_out_w1, m.ds_out_b1, m.ds_out_w2, m.ds_out_b2))
     min_aperture = cones[0].aperture
     for c in cones[1:]:
@@ -371,13 +355,10 @@ def _embed_node(m: ModelParams, node: Node, anchor_ids, relation_ids) -> ConeBat
     raise ValueError(f"unknown AST node: {node!r}")
 
 
-_DNF_CACHE: dict[str, tuple[Node, ...]] = {}
-
-
-def _structure_disjuncts(tag: str) -> tuple[Node, ...]:
-    if tag not in _DNF_CACHE:
-        _DNF_CACHE[tag] = tuple(dnf_disjuncts(STRUCTURE_TEMPLATES[tag]))
-    return _DNF_CACHE[tag]
+#: Each structure template's DNF disjuncts, rewritten once.
+_DISJUNCTS: dict[str, tuple[Node, ...]] = {
+    tag: tuple(dnf_disjuncts(template)) for tag, template in STRUCTURE_TEMPLATES.items()
+}
 
 
 def embed_query(m: ModelParams, ast: Node) -> list[ConeBatch]:
@@ -402,7 +383,7 @@ def embed_structure(m: ModelParams, tag: str, anchors, relations) -> list[ConeBa
     relations = np.asarray(relations, dtype=np.int64)
     return [
         _embed_node(m, node, lambda e: anchors[:, e], lambda r: relations[:, r])
-        for node in _structure_disjuncts(tag)
+        for node in _DISJUNCTS[tag]
     ]
 
 
@@ -539,7 +520,7 @@ def cone_entity_distance(cone: ConeBatch, entity, lam: float):
         # cos * (weighted sin signs) - sin * (weighted cos signs), tile by tile
         trig = ((cu, su), (cl, sl), (ca, sa))
         g_cone = [np.zeros(cone_shape) for _ in trig]
-        g_ent = (np.empty if ce.shape == full else np.zeros)(ce.shape) if need_ent else None
+        g_ent = np.empty(full) if need_ent else None
         bufs = _scratch(full[:-2] + (tile, width), 3)
         for span in spans:
             diff, s_o, s_a = (b[..., :span.stop - span.start, :] for b in bufs)
@@ -568,11 +549,8 @@ def cone_entity_distance(cone: ConeBatch, entity, lam: float):
                 if need_ent:  # this coordinate's share of the entity gradient
                     np.multiply(s_o, g[..., span, None], out=s_o)
                     s_o += np.multiply(s_a, w_t[..., 2, :, None], out=s_a)
-                    g_t = rows_of(g_ent, span)
-                    if ce.shape != full:  # entity rows broadcast: sum into them
-                        part = rows_of((se, ce)[k], span) * ad._unbroadcast(s_o, g_t.shape)
-                        (np.add, np.subtract)[k](g_t, part, out=g_t)
-                    elif k:  # ce * acc_s, which the cos pass subtracts
+                    g_t = g_ent[..., span, :]
+                    if k:  # ce * acc_s, which the cos pass subtracts
                         np.multiply(rows_of(ce, span), s_o, out=g_t)
                     else:  # se * acc_c - ce * acc_s
                         np.subtract(np.multiply(rows_of(se, span), s_o, out=s_o), g_t, out=g_t)
@@ -584,7 +562,7 @@ def cone_entity_distance(cone: ConeBatch, entity, lam: float):
         g_a += sa * sc - ca * ss
         return (ad._unbroadcast(g_u + g_l + g_a, axis.shape),
                 ad._unbroadcast((g_u - g_l) * 0.5, aperture.shape),
-                g_ent.reshape(ent.shape) if need_ent else None)
+                ad._unbroadcast(g_ent, ce.shape).reshape(ent.shape) if need_ent else None)
 
     return ad.fused(out.reshape(shape[:-1]), inputs, vjp)
 

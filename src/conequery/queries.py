@@ -683,17 +683,26 @@ def write_queries_jsonl(path: str, instances: Iterable[QueryInstance]) -> None:
 
 
 def read_queries_jsonl(path: str) -> list[QueryInstance]:
+    """Instances as ``write_queries_jsonl`` writes them.  A record of unknown
+    structure, or whose anchors and relations do not fill its structure's
+    slots, raises ValueError naming ``path:line``."""
     out: list[QueryInstance] = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             rec = json.loads(line)
-            if rec["structure"] not in STRUCTURE_TEMPLATES:
-                raise ValueError(f"unknown structure tag {rec['structure']!r}")
+            tag, where = rec["structure"], f"{path}:{lineno}"
+            if tag not in STRUCTURE_TEMPLATES:
+                raise ValueError(f"{where}: unknown structure tag {tag!r}")
+            n_anchors, n_relations = _SLOTS[tag]
+            got = len(rec["anchors"]), len(rec["relations"])
+            if got != (n_anchors, n_relations):
+                raise ValueError(f"{where}: {tag} needs {n_anchors} anchors and {n_relations} "
+                                 f"relations, got {got[0]} and {got[1]}")
             out.append(QueryInstance(
-                rec["structure"],
+                tag,
                 tuple(int(a) for a in rec["anchors"]),
                 tuple(int(r) for r in rec["relations"]),
                 tuple(int(e) for e in rec["easy"]),

@@ -184,11 +184,11 @@ def _zero_moments(store: ParameterStore) -> dict[str, np.ndarray]:
 
 def adam_step(store: ParameterStore, grads: dict[str, np.ndarray],
               m: dict[str, np.ndarray], v: dict[str, np.ndarray], t: int,
-              lr: float, beta1: float = 0.9, beta2: float = 0.999,
-              eps: float = 1e-8) -> None:
+              lr: float) -> None:
     """One in-place Adam update; ``t`` is the 1-based step count."""
     if t < 1:
         raise ValueError("Adam step count is 1-based")
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
     bias1 = 1.0 - beta1 ** t
     bias2 = 1.0 - beta2 ** t
     for name in store.trainable_names():
@@ -546,21 +546,21 @@ def _random_graph(rng: np.random.Generator, n_entities: int, n_relations: int,
 
 def gradient_check_model(n_instances: int = 20, d: int = 8, seed: int = 0, *,
                          n_entities: int = 30, n_relations: int = 4,
-                         n_triples: int = 150, k_negatives: int = 3,
-                         lam: float = 0.02, margin: float = 2.0,
-                         step: float = 1e-5, zero_floor: float = 1e-5) -> float:
+                         n_triples: int = 150) -> float:
     """Max relative error between analytic and finite-difference gradients of
     the complete loss, cycling through all query structures so projection,
-    intersection, negation, union and DNF paths are all exercised.
+    intersection, negation, union and DNF paths are all exercised.  Each
+    instance is scored against 3 negatives at lam 0.02 and margin 2.
 
     Every parameter coordinate that can influence the loss is probed:
     embedding-table rows the instance never touches are skipped (their
     gradient is identically zero on both sides), kink coordinates are
     validated by subgradient containment, and coordinates below the
-    finite-difference resolution (both readings under ``zero_floor``, far
-    beneath any gradient this loss produces) count as agreeing zeros (see
+    finite-difference resolution (both readings under 1e-5, far beneath any
+    gradient this loss produces) count as agreeing zeros (see
     ``autodiff.grad_check`` for why both are necessary).
     """
+    lam, margin = 0.02, 2.0
     rng = np.random.default_rng(seed)
     graph = _random_graph(rng, n_entities, n_relations, n_triples)
     worst = 0.0
@@ -579,7 +579,7 @@ def gradient_check_model(n_instances: int = 20, d: int = 8, seed: int = 0, *,
         names = store.trainable_names()
         answers = instance.easy if instance.easy else instance.hard
         pos = np.array([answers[int(rng.integers(len(answers)))]], dtype=np.int64)
-        neg = sample_negatives(instance, k_negatives, rng, n_entities).reshape(1, -1)
+        neg = sample_negatives(instance, 3, rng, n_entities).reshape(1, -1)
         anchors = np.array([instance.anchors], dtype=np.int64)
         rels = np.array([instance.relations], dtype=np.int64)
 
@@ -593,7 +593,6 @@ def gradient_check_model(n_instances: int = 20, d: int = 8, seed: int = 0, *,
         entity_coords = (rows[:, None] * d + np.arange(d)).ravel()
         coords = [entity_coords if name == "entity_axis" else None for name in names]
         worst = max(worst, ad.grad_check(f, [store.arrays[n] for n in names],
-                                         step=step, coords=coords,
-                                         subgradient=True, zero_floor=zero_floor))
+                                         coords=coords, subgradient=True, zero_floor=1e-5))
         checked += 1
     return worst

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -21,7 +22,7 @@ from conequery.cones import (
     wrap_angle,
 )
 from conequery import autodiff as ad
-from conequery import conditions
+from conequery import conditions, queries
 
 
 def random_cone(rng: np.random.Generator) -> Cone:
@@ -351,6 +352,40 @@ def composed_cone_entity_distance(cone, entity_angles, lam: float):
 
 
 # ---------------------------------------------------------------------------
+# the intersection with each network run once per input cone: the reference
+# for the stacked model.intersect_cones
+# ---------------------------------------------------------------------------
+
+def per_input_intersect_cones(m, cones):
+    """Attention axis and DeepSets-scaled minimum aperture, as in
+    ``model.intersect_cones``, but with the boundary features and both input
+    networks applied to each cone separately and their outputs stacked."""
+    from conequery.model import ConeBatch
+
+    def mlp(x, w1, b1, w2, b2):
+        hidden = ad.relu(ad.add(ad.matmul(x, w1), b1))
+        return ad.add(ad.matmul(hidden, w2), b2)
+
+    feats = []
+    for c in cones:
+        half = ad.multiply(c.aperture, 0.5)
+        feats.append(ad.concat((ad.subtract(c.axis, half), ad.add(c.axis, half)), axis=-1))
+    scores = ad.stack([mlp(f, m.attn_w1, m.attn_b1, m.attn_w2, m.attn_b2) for f in feats])
+    attn = ad.softmax(scores, axis=0)
+    axes = ad.stack([c.axis for c in cones])
+    x = ad.total(ad.multiply(attn, ad.cos(axes)), axis=0)
+    y = ad.total(ad.multiply(attn, ad.sin(axes)), axis=0)
+    axis = ad.wrap(ad.atan2(y, x))
+    pooled = ad.mean(ad.stack(
+        [mlp(f, m.ds_in_w1, m.ds_in_b1, m.ds_in_w2, m.ds_in_b2) for f in feats]), axis=0)
+    factor = ad.sigmoid(mlp(pooled, m.ds_out_w1, m.ds_out_b1, m.ds_out_w2, m.ds_out_b2))
+    min_aperture = cones[0].aperture
+    for c in cones[1:]:
+        min_aperture = ad.minimum(min_aperture, c.aperture)
+    return ConeBatch(axis, ad.multiply(min_aperture, factor))
+
+
+# ---------------------------------------------------------------------------
 # the symbolic answerer that builds every negation's complement: the
 # reference for queries.answer_symbolic
 # ---------------------------------------------------------------------------
@@ -421,3 +456,29 @@ def recursive_walk(rng, node, target, graph, anchors, relations) -> bool:
         return all(recursive_walk(rng, c, target, graph, anchors, relations)
                    for c in node.children)
     raise ValueError(f"cannot sample structure node {node!r}")
+
+
+# ---------------------------------------------------------------------------
+# query files that the JSONL reader must reject
+# ---------------------------------------------------------------------------
+
+def _record(tag, anchors, relations):
+    return json.dumps({"structure": tag, "anchors": anchors, "relations": relations,
+                       "easy": [5], "hard": []})
+
+
+#: Query files whose last record does not fill its structure's slots: a 2i
+#: with one anchor, a 1p with two, and a 1p file mixing one and two anchors.
+MALFORMED_QUERY_FILES = {
+    "2i_one_anchor": ("2i", [_record("2i", [3], [0, 1])]),
+    "1p_two_anchors": ("1p", [_record("1p", [3, 4], [0])]),
+    "1p_mixed_lengths": ("1p", [_record("1p", [3], [0]), _record("1p", [3, 4], [0])]),
+}
+
+
+def write_malformed_query_file(path, case) -> str:
+    """Write one MALFORMED_QUERY_FILES case; return the reader's message prefix."""
+    tag, lines = MALFORMED_QUERY_FILES[case]
+    path.write_text("\n".join(lines) + "\n")
+    n_anchors, n_relations = queries.structure_slots(tag)
+    return f"{path}:{len(lines)}: {tag} needs {n_anchors} anchors and {n_relations} relations"

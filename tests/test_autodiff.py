@@ -110,6 +110,17 @@ def test_wrap_gradient_is_identity():
     assert x.grad.tolist() == [1.0, 1.0, 1.0]
 
 
+def test_first_gradient_contribution_is_stored_uncopied():
+    # wrap passes its gradient straight on, and backward keeps the array the
+    # pull returned, so both tensors share one (read-only) gradient array
+    tape = ad.Tape()
+    x = leaf(tape, 9.0, -9.0, 0.3)
+    y = ad.wrap(x)
+    tape.backward(ad.total(ad.multiply(y, np.array([1.0, 2.0, 3.0]))))
+    assert x.grad is y.grad
+    assert x.grad.tolist() == [1.0, 2.0, 3.0]
+
+
 def test_gradient_accumulates_across_reuse():
     tape = ad.Tape()
     x = leaf(tape, 2.0)

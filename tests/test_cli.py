@@ -12,8 +12,10 @@ import pytest
 from conequery.axioms import parse_ontology
 from conequery.cli import build_parser, main
 from conequery.patterns import read_labels_tsv
-from conequery.queries import read_queries_jsonl
+from conequery.queries import read_id_map, read_queries_jsonl
 from conequery.training import load_checkpoint
+
+from _helpers import MALFORMED_QUERY_FILES, write_malformed_query_file
 
 TRAIN_FLAGS = ["--profile", "toy", "--lr", "0.03", "--gamma", "20",
                "--lam", "0.02", "--steps", "25", "--seed", "0"]
@@ -89,6 +91,37 @@ class TestGenQueries:
     def test_missing_source_rejected(self, tmp_path):
         assert main(["gen-queries", "--out", str(tmp_path / "x")]) == 1
 
+    def test_pre_split_files_share_one_vocabulary(self, tmp_path):
+        # names get ids in first-appearance order across train, valid, test:
+        # "b" and "likes" recur and keep their ids, "d", "e" and "hates"
+        # first appear in valid or test and take the next ids
+        files = {"train": "a\tlikes\tb\nb\tknows\tc\nc\tlikes\ta\n",
+                 "valid": "b\tlikes\td\n",
+                 "test": "e\thates\tb\n"}
+        paths = {}
+        for split, text in files.items():
+            paths[split] = tmp_path / f"{split}.tsv"
+            paths[split].write_text(text)
+        out = tmp_path / "presplit"
+        rc = main(["gen-queries", "--train", str(paths["train"]),
+                   "--valid", str(paths["valid"]), "--test", str(paths["test"]),
+                   "--out", str(out), "--counts", "1p=2", "--default-count", "0"])
+        assert rc == 0
+        assert read_id_map(out / "entities.tsv") == ["a", "b", "c", "d", "e"]
+        assert read_id_map(out / "relations.tsv") == ["likes", "knows", "hates"]
+        for split, text in files.items():
+            assert (out / f"{split}_triples.tsv").read_text() == text
+        stats = json.loads((out / "stats.json").read_text())
+        assert stats["n_entities"] == 5 and stats["n_relations"] == 3
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert set(manifest["inputs"]) == {str(p) for p in paths.values()}
+
+    def test_train_file_alone_rejected(self, tmp_path, caplog):
+        path = tmp_path / "train.tsv"
+        path.write_text("a\tlikes\tb\n")
+        assert main(["gen-queries", "--train", str(path), "--out", str(tmp_path / "x")]) == 1
+        assert "--train needs --valid and --test" in caplog.text
+
     def test_input_files_never_mutated(self, data_dir, tmp_path):
         src = data_dir / "train_triples.tsv"
         before = file_hash(src)
@@ -152,6 +185,22 @@ class TestTrainEval:
         serial = capsys.readouterr().out
         main(args + ["--threads", "4"])
         assert capsys.readouterr().out == serial
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_QUERY_FILES))
+    def test_eval_rejects_records_that_miss_their_slots(self, run_dir, tmp_path,
+                                                        caplog, case):
+        path = tmp_path / "bad.jsonl"
+        message = write_malformed_query_file(path, case)
+        rc = main(["eval", "--ckpt", str(run_dir / "last.ckpt"), "--test", str(path)])
+        assert rc == 1
+        assert any(r.getMessage().startswith(message) for r in caplog.records)
+
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    def test_eval_rejects_nonpositive_threads(self, run_dir, data_dir, caplog, threads):
+        rc = main(["eval", "--ckpt", str(run_dir / "last.ckpt"),
+                   "--test", str(data_dir / "test.jsonl"), "--threads", threads])
+        assert rc == 1
+        assert "threads must be a positive integer" in caplog.text
 
     def test_missing_checkpoint_fails_cleanly(self, data_dir):
         rc = main(["eval", "--ckpt", "/nonexistent.ckpt",

@@ -49,7 +49,7 @@ from conequery.queries import (
     structure_slots,
 )
 
-from _helpers import angle_dist, composed_cone_entity_distance
+from _helpers import angle_dist, composed_cone_entity_distance, per_input_intersect_cones
 
 
 def toy_store(n_entities=30, n_relations=4, d=6, seed=0, **kw) -> ParameterStore:
@@ -263,6 +263,42 @@ def test_intersect_permutation_invariant():
     b = intersect_cones(m, [cones[2], cones[0], cones[1]])
     assert np.all(np.vectorize(angle_dist)(a.axis, b.axis) < 1e-12)
     assert np.allclose(a.aperture, b.aperture, atol=1e-12)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_intersect_stacked_equals_per_input_reference(k):
+    # one network pass over the k stacked inputs against one pass per input:
+    # values and every gradient (net weights and input cones) within 1e-12,
+    # with the first two inputs' apertures tied in some coordinates
+    rng = np.random.default_rng(30 + k)
+    store = toy_store(seed=k)
+    cones = [(rng.uniform(-PI, PI, size=(5, 6)), rng.uniform(0, TWO_PI, size=(5, 6)))
+             for _ in range(k)]
+    cones[1][1][:, ::2] = cones[0][1][:, ::2]
+    w_axis, w_aperture = rng.normal(size=(5, 6)), rng.normal(size=(5, 6))
+
+    def run(intersect):
+        tape = ad.Tape()
+        m = store.tensors(tape)
+        leaves = [ConeBatch(tape.leaf(a), tape.leaf(p)) for a, p in cones]
+        out = intersect(m, leaves)
+        tape.backward(ad.add(ad.total(ad.multiply(out.axis, w_axis)),
+                             ad.total(ad.multiply(out.aperture, w_aperture))))
+        arrays = {"axis": out.axis.values, "aperture": out.aperture.values}
+        arrays |= {n: getattr(m, n).grad for n in store.trainable_names()
+                   if n.startswith(("attn", "ds_"))}
+        for i, c in enumerate(leaves):
+            arrays |= {f"axis{i}": c.axis.grad, f"aperture{i}": c.aperture.grad}
+        return arrays
+
+    got, want = run(intersect_cones), run(per_input_intersect_cones)
+    assert got.keys() == want.keys() and len(got) == 2 + 12 + 2 * k
+    for name, w in want.items():
+        # the softmax ignores a shift shared by all inputs, so attn_b2's exact
+        # gradient is 0 and both sides hold rounding residue: scale by attn_w2's
+        scale = np.max(np.abs(want["attn_w2" if name == "attn_b2" else name]))
+        assert got[name].shape == w.shape
+        assert np.max(np.abs(got[name] - w)) <= 1e-12 * scale, name
 
 
 def test_intersect_requires_two_inputs_and_net():

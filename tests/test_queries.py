@@ -36,7 +36,14 @@ from conequery.queries import (
     write_triples_tsv,
 )
 
-from _helpers import complement_answers, naive_answers, random_kg, recursive_walk
+from _helpers import (
+    MALFORMED_QUERY_FILES,
+    complement_answers,
+    naive_answers,
+    random_kg,
+    recursive_walk,
+    write_malformed_query_file,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -464,6 +471,15 @@ def test_queries_jsonl_rejects_unknown_structure(tmp_path):
     path.write_text('{"structure":"9z","anchors":[],"relations":[],"easy":[],"hard":[]}\n')
     with pytest.raises(ValueError):
         read_queries_jsonl(path)
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_QUERY_FILES))
+def test_queries_jsonl_rejects_records_that_miss_their_slots(tmp_path, case):
+    path = tmp_path / "bad.jsonl"
+    message = write_malformed_query_file(path, case)
+    with pytest.raises(ValueError) as exc:
+        read_queries_jsonl(path)
+    assert str(exc.value).startswith(message)
 
 
 def test_triples_tsv_round_trip(tmp_path):
