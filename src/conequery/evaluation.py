@@ -15,15 +15,19 @@ from __future__ import annotations
 import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from .model import (
     ConeBatch,
     ParameterStore,
+    dnf_distance_table32,
     dnf_entity_distance,
     embed_structure,
     entity_points,
+    entity_table32,
+    table32_error_bound,
 )
 from .queries import ALL_STRUCTURES, QueryInstance
 
@@ -164,6 +168,57 @@ def _validate_vocabulary(store: ParameterStore, instances) -> None:
             )
 
 
+def _rescore(m, disjuncts, rows, ids, lam: float) -> np.ndarray:
+    """Float64 distances from chunk query ``rows[k]`` (rows of the (chunk,
+    d) ``disjuncts``) to entity ``ids[k]``, in one paired
+    ``dnf_entity_distance`` call."""
+    cones = [ConeBatch(c.axis[rows], c.aperture[rows]) for c in disjuncts]
+    return dnf_entity_distance(cones, entity_points(m, ids), lam)
+
+
+#: Most (answer, entity) comparisons made at once: 16 MB of float32 rows.
+_COMPARE_BLOCK = 1 << 22
+
+
+def _settled_ranks(m, disjuncts, chunk, table, lam: float, bound) -> list[RankedResult]:
+    """``rank_instance`` ranks of a chunk from its float32 ``table`` (which
+    this overwrites), settling in float64 only what rounding could change.
+
+    By the bound |D32 - D64| <= c0 + c1 D32, an entity whose D32 is at most
+    ``lo`` has D64 <= the answer's, and one above ``hi`` has D64 above it;
+    the band between, and the answer itself, are rescored in float64.
+    """
+    c0, c1 = bound
+    targets = [q.hard if q.hard else q.easy for q in chunk]
+    known = [set(q.easy) | set(q.hard) for q in chunk]
+    first = np.cumsum([0] + [len(t) for t in targets])
+    rows = np.repeat(np.arange(len(chunk)), np.diff(first))
+    answers = np.fromiter(chain.from_iterable(targets), np.int64, first[-1])
+    near = table[rows, answers].astype(np.float64)
+    lo = (near * (1.0 - c1) - 2.0 * c0) / (1.0 + c1)
+    hi = (near * (1.0 + c1) + 2.0 * c0) / (1.0 - c1)
+    table[np.repeat(np.arange(len(chunk)), [len(k) for k in known]),
+          np.fromiter(chain.from_iterable(known), np.int64)] = np.inf  # filtered out
+    below = np.empty(len(answers), dtype=np.int64)
+    band_pair, band_ids = [], []
+    block = max(1, _COMPARE_BLOCK // table.shape[1])
+    for start in range(0, len(answers), block):
+        span = slice(start, start + block)
+        dist = table[rows[span]]
+        below[span] = np.count_nonzero(dist <= lo[span, None], axis=1)
+        pair, ids = np.nonzero((dist > lo[span, None]) & (dist <= hi[span, None]))
+        band_pair.append(pair + start)
+        band_ids.append(ids)
+    band_pair = np.concatenate(band_pair)
+    exact = _rescore(m, disjuncts, np.concatenate((rows, rows[band_pair])),
+                     np.concatenate((answers, *band_ids)), lam)
+    at, beside = exact[:len(answers)], exact[len(answers):]
+    ranks = (1 + below + np.bincount(band_pair[beside <= at[band_pair]],
+                                     minlength=len(answers))).tolist()
+    return [RankedResult(query=q, answers=tuple(t), ranks=tuple(ranks[first[i]:first[i + 1]]))
+            for i, (q, t) in enumerate(zip(chunk, targets))]
+
+
 def evaluate_instances(store: ParameterStore, instances, *, lam: float,
                        threads: int = 1, chunk_size: int = 128) -> EvalReport:
     """Score every instance against all entities and roll up the metrics.
@@ -171,27 +226,38 @@ def evaluate_instances(store: ParameterStore, instances, *, lam: float,
     Queries are independent, so chunks may be scored in parallel threads
     against the immutable parameter snapshot; the reduction is per-query,
     which keeps the report deterministic for any thread count.
+
+    The ranks are ``rank_instance``'s over the float64 ``dnf_entity_distance``
+    table, exactly, though that table is never built.  Each chunk gets a
+    float32 table (``dnf_distance_table32``), whose entries D32 are within
+    c0 + c1 D32 of the float64 ones D64 (``table32_error_bound``).  For an
+    answer with float32 distance a, an entity with D32 <= lo = (a (1 - c1)
+    - 2 c0) / (1 + c1) has D64 <= a - c0 - c1 a <= the answer's D64, so it
+    counts; one with D32 > hi = (a (1 + c1) + 2 c0) / (1 - c1) has D64 above
+    the answer's, so it does not.  The answer and the entities between lo and
+    hi are rescored in float64 by one paired ``dnf_entity_distance`` call
+    per chunk, and the pessimistic ``<=`` rule is applied to those values.
+    They equal the full table's entries bit for bit, because the kernel's
+    arithmetic per (query, entity) entry does not depend on the other rows.
     """
     if threads < 1:
         raise ValueError("threads must be a positive integer")
+    if chunk_size < 1:
+        raise ValueError("chunk_size must be a positive integer")
     instances = [q for q in instances if q.easy or q.hard]
     if not instances:
         raise ValueError("nothing to evaluate")
     _validate_vocabulary(store, instances)
+    bound = table32_error_bound(store.d, lam)
     m = store.tensors(None)
-    entity = entity_points(m, np.arange(store.n_entities))  # (n_entities, d)
+    cos32, sin32 = entity_table32(m)  # (n_entities, d) each
 
     def score_chunk(tag: str, chunk: list[QueryInstance]) -> list[RankedResult]:
         anchors = np.array([q.anchors for q in chunk], dtype=np.int64)
         relations = np.array([q.relations for q in chunk], dtype=np.int64)
         disjuncts = embed_structure(m, tag, anchors, relations)
-        wide = [
-            ConeBatch(c.axis.reshape(len(chunk), 1, store.d),
-                      c.aperture.reshape(len(chunk), 1, store.d))
-            for c in disjuncts
-        ]
-        table = dnf_entity_distance(wide, entity, lam)  # (chunk, n_entities)
-        return [rank_instance(q, table[i]) for i, q in enumerate(chunk)]
+        table = dnf_distance_table32(disjuncts, cos32, sin32, lam)  # (chunk, n_entities)
+        return _settled_ranks(m, disjuncts, chunk, table, lam, bound)
 
     by_tag: dict[str, list[QueryInstance]] = {}
     for q in instances:

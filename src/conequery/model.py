@@ -59,6 +59,9 @@ __all__ = [
     "embed_structure",
     "cone_entity_distance",
     "dnf_entity_distance",
+    "entity_table32",
+    "dnf_distance_table32",
+    "table32_error_bound",
     "margin_loss",
     "batch_loss",
     "param_count",
@@ -421,11 +424,85 @@ def _scratch(shape, count):
 
 def _chord_l1(cos_a, sin_a, cos_b, sin_b, buf, tmp):
     """Sum over the trailing axis of |cos a - cos b| + |sin a - sin b|, the L1
-    distance between unit-circle points, through two scratch buffers shaped
-    like the broadcast of the operands."""
+    distance between unit-circle points, through two contiguous scratch
+    buffers shaped like the broadcast of the operands.  Float32 rows are
+    summed by a ones matvec: there numpy's ``sum`` over a short trailing axis
+    measured as slow as in float64."""
     np.abs(np.subtract(cos_a, cos_b, out=buf), out=buf)
     np.abs(np.subtract(sin_a, sin_b, out=tmp), out=tmp)
-    return np.add(buf, tmp, out=buf).sum(axis=-1)
+    np.add(buf, tmp, out=buf)
+    if buf.dtype == np.float64:
+        return buf.sum(axis=-1)
+    width = buf.shape[-1]
+    return (buf.reshape(-1, width) @ np.ones(width, buf.dtype)).reshape(buf.shape[:-1])
+
+
+def _cone_trig(axis, aperture):
+    """cos and sin of a cone's upper boundary, lower boundary and axis."""
+    half = aperture * 0.5
+    upper, lower = axis + half, axis - half
+    return [np.cos(upper), np.sin(upper), np.cos(lower), np.sin(lower),
+            np.cos(axis), np.sin(axis)]
+
+
+def _tiles(full, itemsize):
+    """Entity rows per tile and the tiles' row spans, for operands that
+    broadcast to ``full`` (rank >= 2, entity rows on axis -2) and hold
+    ``itemsize``-byte values."""
+    rows, width = full[-2], full[-1]
+    outer = math.prod(full[:-2])
+    tile = min(rows, max(1, _TILE_BYTES // (itemsize * max(1, outer * width))))
+    return tile, [slice(lo, min(lo + tile, rows)) for lo in range(0, rows, tile)]
+
+
+def _rows_of(x, span, rows):
+    """A (..., rows, d) operand's share of one tile."""
+    if x.shape[-2] == rows:
+        return x[..., span, :]
+    return x[..., :span.stop - span.start, :]  # identical rows: any will do
+
+
+def _tiled_distance(trig, ce, se, lam, take=None):
+    """outside + lam * inside over entity-row tiles, in the dtype of ``ce``.
+
+    ``trig`` is a cone's ``_cone_trig`` and ``ce``/``se`` the entity cos and
+    sin, all of one rank >= 2 with the entity rows on axis -2.  ``take``,
+    when given, is two boolean arrays shaped like the result; they receive
+    where the outside min took the upper boundary and the inside min the
+    axis.
+    """
+    cu, su, cl, sl, ca, sa = trig
+    full = np.broadcast_shapes(cu.shape, ce.shape)
+    rows, width = full[-2], full[-1]
+    tile, spans = _tiles(full, ce.itemsize)
+    p_ua = _chord_l1(cu, su, ca, sa, np.empty(cu.shape, ce.dtype), np.empty(cu.shape, ce.dtype))
+
+    def cols_of(x, span):  # a (..., rows) distance array's share of one tile
+        return x if x.shape[-1] == 1 else x[..., span]
+
+    def tiled(x):  # with several tiles, a one-row cone operand is repeated
+        # to a tile's rows once, so each tile's ops run without broadcasting
+        return np.repeat(x, tile, axis=-2) if x.shape[-2] == 1 < tile < rows else x
+
+    out = np.empty(full[:-1], ce.dtype)
+    cone_trig = [tiled(x) for x in trig]
+    buf = None
+    for span in spans:
+        if buf is None or buf.shape[-2] != span.stop - span.start:
+            buf, tmp = (np.empty(full[:-2] + (span.stop - span.start, width), ce.dtype)
+                        for _ in range(2))
+        ce_t, se_t = _rows_of(ce, span, rows), _rows_of(se, span, rows)
+        cu_t, su_t, cl_t, sl_t, ca_t, sa_t = (_rows_of(x, span, rows) for x in cone_trig)
+        p_u = _chord_l1(cu_t, su_t, ce_t, se_t, buf, tmp)
+        p_l = _chord_l1(cl_t, sl_t, ce_t, se_t, buf, tmp)
+        p_a = _chord_l1(ca_t, sa_t, ce_t, se_t, buf, tmp)
+        p_ua_t = cols_of(p_ua, span)
+        tu, ta = p_u <= p_l, p_a <= p_ua_t
+        out[..., span] = np.where(tu, p_u, p_l) + np.where(ta, p_a, p_ua_t) * lam
+        if take is not None:
+            take[0][..., span] = tu
+            take[1][..., span] = ta
+    return out
 
 
 def cone_entity_distance(cone: ConeBatch, entity, lam: float):
@@ -454,61 +531,25 @@ def cone_entity_distance(cone: ConeBatch, entity, lam: float):
     need_ent = isinstance(entity.angles, ad.Tensor)
     taped = any(isinstance(x, ad.Tensor) for x in inputs)
 
-    half = aperture * 0.5
-    upper, lower = axis + half, axis - half
-    shape = np.broadcast_shapes(upper.shape, ent.shape)
+    trig = _cone_trig(axis, aperture)
+    shape = np.broadcast_shapes(trig[0].shape, ent.shape)
     nd = max(len(shape), 2)
 
     def pad(x):
         return x.reshape((1,) * (nd - x.ndim) + x.shape)
 
     full = (1,) * (nd - len(shape)) + shape
-    cu, su = pad(np.cos(upper)), pad(np.sin(upper))
-    cl, sl = pad(np.cos(lower)), pad(np.sin(lower))
-    ca, sa = pad(np.cos(axis)), pad(np.sin(axis))
-    ce, se = pad(entity.cos), pad(entity.sin)
+    cu, su, cl, sl, ca, sa = trig = [pad(x) for x in trig]
+    ce, se = (pad(np.asarray(x, dtype=np.float64)) for x in (entity.cos, entity.sin))
     cone_shape = cu.shape
-    p_ua = _chord_l1(cu, su, ca, sa, np.empty(cone_shape), np.empty(cone_shape))
-
     rows, width = full[-2], full[-1]
-    outer = math.prod(full[:-2])
-    tile = min(rows, max(1, _TILE_BYTES // (8 * max(1, outer * width))))
-    spans = [slice(lo, min(lo + tile, rows)) for lo in range(0, rows, tile)]
-
-    def rows_of(x, span):  # a (..., rows, d) operand's share of one tile
-        if x.shape[-2] == rows:
-            return x[..., span, :]
-        return x[..., :span.stop - span.start, :]  # identical rows: any will do
-
-    def cols_of(x, span):  # the same for a (..., rows) distance array
-        return x if x.shape[-1] == 1 else x[..., span]
-
-    def tiled(x):  # with several tiles, a one-row cone operand is repeated
-        # to a tile's rows once, so each tile's ops run without broadcasting
-        return np.repeat(x, tile, axis=-2) if x.shape[-2] == 1 < tile < rows else x
-
-    def scratch(span, count):  # fresh buffers shaped like one tile
-        return [np.empty(full[:-2] + (span.stop - span.start, width)) for _ in range(count)]
-
-    out = np.empty(full[:-1])
+    tile, spans = _tiles(full, ce.itemsize)
     take_u = np.empty(full[:-1], dtype=bool) if taped else None
     take_a = np.empty(full[:-1], dtype=bool) if taped else None
-    cone_trig = [tiled(x) for x in (cu, su, cl, sl, ca, sa)]
-    buf = None
-    for span in spans:
-        if buf is None or buf.shape[-2] != span.stop - span.start:
-            buf, tmp = scratch(span, 2)
-        ce_t, se_t = rows_of(ce, span), rows_of(se, span)
-        cu_t, su_t, cl_t, sl_t, ca_t, sa_t = (rows_of(x, span) for x in cone_trig)
-        p_u = _chord_l1(cu_t, su_t, ce_t, se_t, buf, tmp)
-        p_l = _chord_l1(cl_t, sl_t, ce_t, se_t, buf, tmp)
-        p_a = _chord_l1(ca_t, sa_t, ce_t, se_t, buf, tmp)
-        p_ua_t = cols_of(p_ua, span)
-        tu, ta = p_u <= p_l, p_a <= p_ua_t
-        out[..., span] = np.where(tu, p_u, p_l) + np.where(ta, p_a, p_ua_t) * lam
-        if taped:
-            take_u[..., span] = tu
-            take_a[..., span] = ta
+    out = _tiled_distance(trig, ce, se, lam, (take_u, take_a) if taped else None)
+
+    def rows_of(x, span):
+        return _rows_of(x, span, rows)
 
     def vjp(g):
         g = g.reshape(full[:-1])
@@ -556,7 +597,7 @@ def cone_entity_distance(cone: ConeBatch, entity, lam: float):
                         np.subtract(np.multiply(rows_of(se, span), s_o, out=s_o), g_t, out=g_t)
         g_u, g_l, g_a = g_cone
         # the cone-only upper-to-axis term of the inside min
-        w = ad._unbroadcast(g * lam * ~take_a, p_ua.shape)[..., None]
+        w = ad._unbroadcast(g * lam * ~take_a, cone_shape[:-1])[..., None]
         sc, ss = np.sign(cu - ca) * w, np.sign(su - sa) * w
         g_u += cu * ss - su * sc
         g_a += sa * sc - ca * ss
@@ -577,6 +618,75 @@ def dnf_entity_distance(disjuncts: Sequence[ConeBatch], entity, lam: float):
     for cone in disjuncts[1:]:
         dist = ad.minimum(dist, cone_entity_distance(cone, entity, lam))
     return dist
+
+
+def entity_table32(m: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """Every entity's cos and sin, taken in float64 as by ``entity_points``
+    and rounded once to float32: the entity side of ``dnf_distance_table32``."""
+    points = entity_points(m, np.arange(ad.values_of(m.entity_axis).shape[0]))
+    return points.cos.astype(np.float32), points.sin.astype(np.float32)
+
+
+def dnf_distance_table32(disjuncts: Sequence[ConeBatch], cos32, sin32, lam: float):
+    """``dnf_entity_distance`` of (batch, d) plain-array disjunct cones
+    against every entity of ``entity_table32``, as a float32 (batch,
+    n_entities) table.
+
+    The cone trig is taken in float64 and rounded once to float32; the tile
+    arithmetic is the float64 kernel's, in float32 (tiles twice as many rows).
+    ``table32_error_bound`` bounds each entry's distance to the float64 one.
+    """
+    table = None
+    for cone in disjuncts:
+        trig = [x[..., None, :].astype(np.float32) for x in _cone_trig(cone.axis, cone.aperture)]
+        dist = _tiled_distance(trig, cos32[None], sin32[None], float(lam))
+        table = dist if table is None else np.where(table <= dist, table, dist)
+    return table
+
+
+#: Unit roundoff of float32.
+_U32 = 2.0 ** -24
+
+
+def table32_error_bound(d: int, lam: float) -> tuple[float, float]:
+    """(c0, c1) with |D32 - D64| <= c0 + c1 * D32 for every entry D32 of
+    ``dnf_distance_table32`` and the float64 ``dnf_entity_distance`` D64 of
+    the same (query, entity): c0 = 8 d u (1 + lam), c1 = 2 (d + 4) u, with
+    u = 2^-24 and lam >= 0, for any summation order of the row sums.
+
+    Both tables start from the same float64 trig values x, |x| <= 1; the
+    float32 one rounds each once, |fl32(x) - x| <= u.  Write g_n = n u / (1 -
+    n u) (Higham, *Accuracy and Stability of Numerical Algorithms*, §4.2) and
+    g'_n for float64's u' = 2^-53.
+
+    1. One chord L1 (p_u, p_l, p_a or p_ua) sums 2d terms |a - b| >= 0.
+       Rounding the inputs moves its exact value S by at most 2d * 2u = 4du.
+       In float32 each term is rounded once by the subtraction, once by the
+       pair add and at most d - 1 times by the row sum, in whatever order,
+       so the computed C32 is within g_{d+1} C^ of the exact sum C^ over
+       the rounded inputs.
+    2. A min of terms keeps both the relative and the absolute bound.
+    3. D32 = fl(O + fl(fl32(lam) * I)) adds one rounding to the outside
+       term and three to the inside term, so |D32 - D^| <= g_{d+4} D^, with
+       D^ = O^ + lam I^ the exact distance over rounded inputs and |D^ - D*|
+       <= 4du (1 + lam) for D* the exact one over the float64 inputs.  The
+       float64 kernel is the same arithmetic on D*'s inputs:
+       |D64 - D*| <= g'_{d+3} D*.
+    4. Together |D32 - D64| <= G D* + A with G = g_{d+4} + g'_{d+3} and
+       A = 4du (1 + lam)(1 + g_{d+4}); with D* <= (D32 + A) / (1 - G) this
+       is A / (1 - G) + G / (1 - G) D32.  For (d + 4) u <= 1/100 these are
+       below 1.03 * 4du (1 + lam) and 1.03 (d + 4) u, so c0 and c1 hold
+       with about 2x to spare, which also covers the float64 rounding of
+       thresholds built from them.
+    5. If every disjunct's entry keeps |x' - x| <= c0 + c1 x', so does their
+       min, because t -> t -/+ (c0 + c1 t) is increasing.
+    """
+    lam = float(lam)
+    if lam < 0.0:
+        raise ValueError("lambda must be non-negative")
+    if (d + 4) * _U32 > 0.01:
+        raise ValueError(f"d={d} is too large for the float32 distance table's bound")
+    return 8 * d * _U32 * (1.0 + lam), 2 * (d + 4) * _U32
 
 
 def margin_loss(pos_dist, neg_dist, margin: float):

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -318,8 +319,11 @@ class TestParserBehavior:
         assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_console_script_installed(self):
+        # the child does not inherit pytest's pythonpath, so it gets src too
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
         proc = subprocess.run(
             [sys.executable, "-m", "conequery.cli", "--version"],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
         assert proc.returncode == 0
         assert "conequery" in proc.stdout

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from _helpers import naive_filtered_rank
+import conequery.model as model
 from conequery.evaluation import (
     NEGATION_STRUCTURES,
+    _rescore,
     evaluate_instances,
     expected_random_mrr,
     expected_random_mrr_for,
@@ -20,9 +22,17 @@ from conequery.evaluation import (
     write_report_json,
     write_report_tsv,
 )
-from conequery.model import ParameterStore
+from conequery.model import (
+    ConeBatch,
+    ParameterStore,
+    dnf_distance_table32,
+    dnf_entity_distance,
+    embed_structure,
+    entity_points,
+    entity_table32,
+)
 from conequery.planted import build_planted_kg
-from conequery.queries import KnowledgeGraph, QueryInstance, generate_dataset
+from conequery.queries import ALL_STRUCTURES, KnowledgeGraph, QueryInstance, generate_dataset
 
 
 @pytest.fixture(scope="module")
@@ -174,6 +184,14 @@ def test_evaluate_random_embeddings_near_analytic_baseline(toy_eval_set):
     assert abs(float(np.mean(observed)) - analytic) < 0.05
 
 
+def test_evaluate_rejects_chunk_size_below_one(toy_eval_set):
+    kg, bundle = toy_eval_set
+    store = ParameterStore(kg.n_entities, kg.n_relations, 8, seed=0)
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match="chunk_size"):
+            evaluate_instances(store, bundle.test, lam=0.02, chunk_size=bad)
+
+
 def test_evaluate_vocabulary_mismatch(toy_eval_set):
     kg, bundle = toy_eval_set
     small = ParameterStore(5, 2, 8, seed=0)
@@ -181,6 +199,89 @@ def test_evaluate_vocabulary_mismatch(toy_eval_set):
         evaluate_instances(small, bundle.test, lam=0.02)
     with pytest.raises(ValueError, match="evaluate"):
         evaluate_instances(small, [], lam=0.02)
+
+
+# ---------------------------------------------------------------------------
+# exact ranks from the float32 table
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def every_structure_set():
+    kg = build_planted_kg(seed=2)
+    bundle = generate_dataset(kg.train, kg.valid, kg.test, kg.n_entities, kg.n_relations,
+                              counts={tag: 4 for tag in ALL_STRUCTURES}, seed=5)
+    assert {q.structure for q in bundle.test} == set(ALL_STRUCTURES)
+    return kg, bundle.test
+
+
+def _store_with(kg, rows: str) -> ParameterStore:
+    """A random d=16 store; "twins" makes each odd entity row a copy of the
+    even row before it (exact ties), "near-twins" a copy moved by about
+    1e-7 rad, which float64 separates and float32 mostly does not."""
+    store = ParameterStore(kg.n_entities, kg.n_relations, 16, seed=3)
+    table = store.arrays["entity_axis"]
+    if rows == "twins":
+        table[1::2] = table[0::2]
+    elif rows == "near-twins":
+        table[1::2] = table[0::2] + 1e-7 * np.random.default_rng(8).normal(size=table[1::2].shape)
+    return store
+
+
+def _wide(disjuncts):
+    return [ConeBatch(c.axis[:, None, :], c.aperture[:, None, :]) for c in disjuncts]
+
+
+def _ranks_over(instances, m, lam, table_of):
+    """rank_instance ranks per instance over each structure's table."""
+    ranks = {}
+    for tag in ALL_STRUCTURES:
+        group = [q for q in instances if q.structure == tag]
+        disjuncts = embed_structure(m, tag, [q.anchors for q in group],
+                                    [q.relations for q in group])
+        table = table_of(disjuncts)
+        ranks.update((q, rank_instance(q, table[i]).ranks) for i, q in enumerate(group))
+    return [ranks[q] for q in instances]
+
+
+@pytest.mark.parametrize("rows", ["random", "twins", "near-twins"])
+def test_evaluate_ranks_equal_float64_table_ranks(every_structure_set, rows):
+    kg, instances = every_structure_set
+    store = _store_with(kg, rows)
+    m = store.tensors(None)
+    points = entity_points(m, np.arange(kg.n_entities))
+    want = _ranks_over(instances, m, 0.02,
+                       lambda disjuncts: dnf_entity_distance(_wide(disjuncts), points, 0.02))
+    for threads in (1, 2):
+        for chunk_size in (3, 128):
+            report = evaluate_instances(store, instances, lam=0.02, threads=threads,
+                                        chunk_size=chunk_size)
+            by_query = {res.query: res.ranks for res in report.results}
+            assert [by_query[q] for q in instances] == want
+    if rows == "near-twins":  # the float64 recheck is what makes them equal
+        cos32, sin32 = entity_table32(m)
+        float32_only = _ranks_over(instances, m, 0.02, lambda disjuncts: dnf_distance_table32(
+            disjuncts, cos32, sin32, 0.02))
+        assert float32_only != want
+
+
+@pytest.mark.parametrize("tile_bytes", [1 << 18, 3 * 16 * 8 * 4])
+def test_paired_rescore_equals_the_full_float64_table(monkeypatch, every_structure_set,
+                                                      tile_bytes):
+    # the full table's entries, in tiles of every entity row or of a few rows,
+    # against one paired call over every (query, entity) pair in shuffled order
+    monkeypatch.setattr(model, "_TILE_BYTES", tile_bytes)
+    kg, instances = every_structure_set
+    m = _store_with(kg, "random").tensors(None)
+    points = entity_points(m, np.arange(kg.n_entities))
+    rng = np.random.default_rng(9)
+    for tag in ALL_STRUCTURES:
+        group = [q for q in instances if q.structure == tag]
+        disjuncts = embed_structure(m, tag, [q.anchors for q in group],
+                                    [q.relations for q in group])
+        table = dnf_entity_distance(_wide(disjuncts), points, 0.02)
+        order = rng.permutation(table.size)
+        rows, ids = np.unravel_index(order, table.shape)
+        assert np.array_equal(_rescore(m, disjuncts, rows, ids, 0.02), table[rows, ids]), tag
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import conequery.autodiff as ad
 import conequery.model as model
@@ -25,10 +27,12 @@ from conequery.model import (
     ParameterStore,
     _embed_node,
     cone_entity_distance,
+    dnf_distance_table32,
     dnf_entity_distance,
     embed_query,
     embed_structure,
     entity_points,
+    entity_table32,
     intersect_cones,
     intersection_net_param_count,
     margin_loss,
@@ -37,6 +41,7 @@ from conequery.model import (
     param_breakdown,
     param_count,
     project_cone,
+    table32_error_bound,
 )
 from conequery.queries import (
     ALL_STRUCTURES,
@@ -758,6 +763,52 @@ def test_distance_scratch_pool_is_bounded():
     (pool,) = pools
     assert len(pool) == 3
     assert all(buf.nbytes <= model._TILE_BYTES for buf in pool)
+
+
+# ---------------------------------------------------------------------------
+# the float32 ranking table
+# ---------------------------------------------------------------------------
+
+
+def _table_case(rng, d, n_disjuncts, batch=3, n_entities=8):
+    """Disjunct cones whose apertures mix 0, 2*pi and uniform draws, and a
+    store whose entity rows sit on some cone's axis, on its upper or lower
+    boundary, or anywhere."""
+    disjuncts = []
+    for _ in range(n_disjuncts):
+        kind = rng.integers(3, size=(batch, d))
+        aperture = np.select([kind == 0, kind == 1], [0.0, TWO_PI],
+                             rng.uniform(0.0, TWO_PI, size=(batch, d)))
+        disjuncts.append(ConeBatch(rng.uniform(-PI, PI, size=(batch, d)), aperture))
+    store = ParameterStore(n_entities, 1, d, seed=int(rng.integers(1 << 31)), with_net=False)
+    for row, angles in enumerate(store.arrays["entity_axis"]):
+        cone = disjuncts[rng.integers(n_disjuncts)]
+        q = rng.integers(batch)
+        offset = (0.0, 0.5, -0.5, None)[row % 4]
+        if offset is not None:
+            angles[:] = wrap_angle(cone.axis[q] + offset * cone.aperture[q])
+    return disjuncts, store.tensors()
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.sampled_from([1, 7, 64, 800]), lam=st.sampled_from([0.0, 0.02, 1.0]),
+       n_disjuncts=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_float32_table_within_its_error_bound(d, lam, n_disjuncts, seed):
+    disjuncts, m = _table_case(np.random.default_rng(seed), d, n_disjuncts)
+    d32 = dnf_distance_table32(disjuncts, *entity_table32(m), lam)
+    wide = [ConeBatch(c.axis[:, None, :], c.aperture[:, None, :]) for c in disjuncts]
+    d64 = dnf_entity_distance(wide, entity_points(m, np.arange(8)), lam)
+    assert d32.dtype == np.float32 and d32.shape == d64.shape
+    c0, c1 = table32_error_bound(d, lam)
+    d32 = d32.astype(np.float64)
+    assert np.all(np.abs(d32 - d64) <= c0 + c1 * d32)
+
+
+def test_float32_table_bound_refuses_what_it_does_not_cover():
+    with pytest.raises(ValueError, match="non-negative"):
+        table32_error_bound(8, -0.1)
+    with pytest.raises(ValueError, match="too large"):
+        table32_error_bound(1 << 20, 0.02)
 
 
 # ---------------------------------------------------------------------------
