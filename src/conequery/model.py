@@ -640,6 +640,7 @@ def dnf_distance_table32(disjuncts: Sequence[ConeBatch], cos32, sin32, lam: floa
     for cone in disjuncts:
         trig = [x[..., None, :].astype(np.float32) for x in _cone_trig(cone.axis, cone.aperture)]
         dist = _tiled_distance(trig, cos32[None], sin32[None], float(lam))
+        # ad.minimum's choice, NaN included, so NaN entries match the float64 table's
         table = dist if table is None else np.where(table <= dist, table, dist)
     return table
 
