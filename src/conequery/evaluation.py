@@ -3,6 +3,9 @@
 Ranks every held-out (query, answer) pair against all entities with the
 known answers filtered out, pessimistic on ties, then reports MRR and
 Hits@k per query structure, macro averages, and pattern-subgroup rollups.
+``evaluate_instances`` ranks from a float32 distance table and rescores in
+float64 only what its proven rounding bound leaves open, so its ranks equal
+``rank_instance``'s over the float64 table exactly (see its docstring).
 
 Aggregation convention: reciprocal ranks are averaged per query first (over
 that query's scored answers) and then across queries, so a query with many
