@@ -21,9 +21,8 @@ later contributions rebind ``.grad`` to a new sum, so several tensors may
 share one ``.grad`` array (``wrap`` passes its own on): treat it as read-only.
 
 Subgradient conventions (fixed, documented):
-  |x| at 0 -> 0;  pairwise min ties -> first argument;  reduced min ties ->
-  first index;  clamp outside the range -> 0;  ReLU at 0 -> 0;  angle wrap
-  -> identity.
+  |x| at 0 -> 0;  pairwise min ties -> first argument;  clamp outside the
+  range -> 0;  ReLU at 0 -> 0;  angle wrap -> identity.
 
 Gather's gradient scatter-adds each gathered row into its table row in the
 flattened order of the indices, the order ``np.add.at`` uses, so gradients of
@@ -112,29 +111,6 @@ class Tensor:
         self.tape = tape
         self._parents: tuple = parents
         tape._nodes.append(self)
-
-    @property
-    def shape(self):
-        return self.values.shape
-
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return subtract(self, other)
-
-    def __rsub__(self, other):
-        return subtract(other, self)
-
-    def __mul__(self, other):
-        return multiply(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return multiply(self, -1.0)
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.values.shape})"
@@ -329,22 +305,6 @@ def minimum(a, b):
             lambda g: _unbroadcast(g * ~take_a, bv.shape),
         ),
     )
-
-
-def amin(x, axis: int):
-    """Min-reduce along one axis; ties send the gradient to the first index."""
-    xv = values_of(x)
-    idx = np.argmin(xv, axis=axis)
-    out = np.take_along_axis(xv, np.expand_dims(idx, axis), axis=axis).squeeze(axis)
-
-    def pull(g):
-        full = np.zeros_like(xv)
-        np.put_along_axis(
-            full, np.expand_dims(idx, axis), np.expand_dims(g, axis), axis=axis
-        )
-        return full
-
-    return _result(out, (x,), (pull,))
 
 
 # ---------------------------------------------------------------------------

@@ -48,8 +48,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from conequery.cones import turn_distance, wrap_angle
+from conequery.cones import turn_distance
 from conequery.conditions import (
+    ARITY,
     ASYMMETRY,
     COMPOSITION,
     CONTAINMENT,
@@ -63,12 +64,8 @@ from conequery.conditions import (
     symmetry_margin,
     transitivity_margin,
 )
-from conequery.model import ParameterStore
+from conequery.model import ParameterStore, relation_rotation
 from conequery.patterns import PatternLabel
-
-_ARITY = {SYMMETRY: 1, ASYMMETRY: 1, TRANSITIVITY: 1,
-          CONTAINMENT: 2, INVERSE: 2, COMPOSITION: 3}
-
 
 @dataclass(frozen=True)
 class ExtractedAxiom:
@@ -80,11 +77,11 @@ class ExtractedAxiom:
     tolerance: float
 
     def __post_init__(self) -> None:
-        if self.kind not in _ARITY:
+        if self.kind not in ARITY:
             raise ValueError(f"unknown axiom kind: {self.kind!r}")
-        if len(self.relations) != _ARITY[self.kind]:
+        if len(self.relations) != ARITY[self.kind]:
             raise ValueError(
-                f"{self.kind} axiom needs {_ARITY[self.kind]} relation ids, "
+                f"{self.kind} axiom needs {ARITY[self.kind]} relation ids, "
                 f"got {self.relations!r}")
         if not 0.0 <= self.fraction <= 1.0:
             raise ValueError("fraction must lie in [0, 1]")
@@ -93,11 +90,10 @@ class ExtractedAxiom:
 
 
 def relation_rotation_angles(store: ParameterStore) -> tuple[np.ndarray, np.ndarray]:
-    """Read per-relation rotation parameters the way the model applies them:
-    axis shifts wrapped to the principal range, apertures through ``abs``."""
-    theta = wrap_angle(np.asarray(store.arrays["relation_axis"], dtype=float))
-    delta = np.abs(np.asarray(store.arrays["relation_aperture"], dtype=float))
-    return theta, delta
+    """Every relation's rotation as the model applies it
+    (``model.relation_rotation``): axis shifts wrapped to the principal
+    range, apertures through ``abs``."""
+    return relation_rotation(store.tensors(None), np.arange(store.n_relations))
 
 
 def composition_candidates(
@@ -324,7 +320,7 @@ def parse_ontology(
                 names = args
         else:
             raise ValueError(f"{path}:{lineno}: unknown axiom form {form!r}")
-        if len(names) != _ARITY[kind]:
+        if len(names) != ARITY[kind]:
             raise ValueError(f"{path}:{lineno}: {form} arity mismatch")
         ids = tuple(resolve(n, lineno) for n in names)
         axioms.append(ExtractedAxiom(kind, ids, fraction, tol))

@@ -32,6 +32,7 @@ import logging
 import os
 import sys
 import time
+from dataclasses import asdict, fields
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Sequence
@@ -40,7 +41,7 @@ import numpy as np
 
 from conequery import __version__
 from conequery.axioms import emit_ontology, extract
-from conequery.cones import format_multicone, multicone, parse_cone_spec
+from conequery.cones import canonicalize, format_multicone, parse_cone_spec
 from conequery.evaluation import (
     evaluate_instances,
     expected_random_mrr_for,
@@ -71,6 +72,8 @@ from conequery.queries import (
     write_triples_tsv,
 )
 from conequery.training import (
+    PROFILES,
+    TrainingConfig,
     gradient_check_model,
     load_checkpoint,
     multi_seed,
@@ -81,9 +84,7 @@ from conequery.training import (
 
 log = logging.getLogger("conequery")
 
-_CONFIG_FLAGS = ("d", "b", "n", "gamma", "lr", "lam", "steps", "seed",
-                 "rotation_mode", "checkpoint_every", "eval_every",
-                 "patience", "threads")
+_CONFIG_FLAGS = tuple(f.name for f in fields(TrainingConfig))
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +143,7 @@ def _now() -> str:
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
     g = p.add_argument_group("training config (CLI > --config file > --profile > default)")
     g.add_argument("--config", metavar="FILE", help="key=value config file")
-    g.add_argument("--profile", choices=["toy"], help="preset size profile")
+    g.add_argument("--profile", choices=sorted(PROFILES), help="preset size profile")
     g.add_argument("--d", type=int, help="embedding dimensions per entity")
     g.add_argument("--b", type=int, help="batch size")
     g.add_argument("--n", type=int, help="negative samples per positive")
@@ -166,11 +167,6 @@ def _resolved_config(args: argparse.Namespace):
     cli = {name: getattr(args, name) for name in _CONFIG_FLAGS}
     return resolve_config(profile=args.profile, file_overrides=file_overrides,
                           cli_overrides=cli)
-
-
-def _config_dict(cfg) -> dict:
-    from dataclasses import asdict
-    return asdict(cfg)
 
 
 def _read_data_dir(data: str | Path) -> dict:
@@ -241,8 +237,7 @@ def cmd_gen_queries(args: argparse.Namespace) -> int:
         if len(ratios) != 3:
             raise ValueError("--split needs three comma-separated ratios")
         splits = random_split(triples, ratios, args.seed)
-        entity_names = [n for n, _ in sorted(ents.items(), key=lambda kv: kv[1])]
-        relation_names = [n for n, _ in sorted(rels.items(), key=lambda kv: kv[1])]
+        entity_names, relation_names = list(ents), list(rels)
         source = {"triples": str(args.triples), "split": list(ratios)}
     elif args.train:
         if not (args.valid and args.test):
@@ -253,8 +248,7 @@ def cmd_gen_queries(args: argparse.Namespace) -> int:
         splits = []
         for path in (args.train, args.valid, args.test):
             part, e_local, r_local = read_triples_tsv(path)
-            e_names = [n for n, _ in sorted(e_local.items(), key=lambda kv: kv[1])]
-            r_names = [n for n, _ in sorted(r_local.items(), key=lambda kv: kv[1])]
+            e_names, r_names = list(e_local), list(r_local)
             for name in e_names:
                 ents.setdefault(name, len(ents))
             for name in r_names:
@@ -262,8 +256,7 @@ def cmd_gen_queries(args: argparse.Namespace) -> int:
             splits.append([(ents[e_names[h]], rels[r_names[r]], ents[e_names[t]])
                            for h, r, t in part])
             inputs.append(Path(path))
-        entity_names = [n for n, _ in sorted(ents.items(), key=lambda kv: kv[1])]
-        relation_names = [n for n, _ in sorted(rels.items(), key=lambda kv: kv[1])]
+        entity_names, relation_names = list(ents), list(rels)
         source = {"train": args.train, "valid": args.valid, "test": args.test}
     else:
         raise ValueError("need --planted-seed, --triples, or --train/--valid/--test")
@@ -341,7 +334,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     outputs = [out_dir / "last.ckpt", log_path]
     if (out_dir / "best.ckpt").exists():
         outputs.append(out_dir / "best.ckpt")
-    write_manifest(out_dir, command="train", config=_config_dict(cfg),
+    write_manifest(out_dir, command="train", config=asdict(cfg),
                    seed=cfg.seed, inputs=data["inputs"], outputs=outputs,
                    started=started)
     print(f"trained {state.step} steps in {elapsed:.1f}s; "
@@ -393,7 +386,7 @@ def cmd_mine_patterns(args: argparse.Namespace) -> int:
         relation_ids = {name: i for i, name in enumerate(names)}
         inputs.append(Path(args.relation_map))
     triples, _, rels = read_triples_tsv(args.triples, None, relation_ids)
-    names = [n for n, _ in sorted(rels.items(), key=lambda kv: kv[1])]
+    names = list(rels)
     labels = mine_patterns(triples, min_coverage=args.min_coverage,
                            min_support=args.min_support)
     for label in labels:
@@ -486,7 +479,7 @@ def cmd_multi_seed(args: argparse.Namespace) -> int:
             fh.write("structure\tmean_mrr\tstd\n")
             for name, (mean, std) in report.metrics.items():
                 fh.write(f"{name}\t{mean!r}\t{std!r}\n")
-        write_manifest(out, command="multi-seed", config=_config_dict(cfg),
+        write_manifest(out, command="multi-seed", config=asdict(cfg),
                        seed=cfg.seed, inputs=data["inputs"], outputs=[out],
                        started=started)
     return 0
@@ -494,7 +487,7 @@ def cmd_multi_seed(args: argparse.Namespace) -> int:
 
 def cmd_algebra(args: argparse.Namespace) -> int:
     cones = parse_cone_spec(args.dump)
-    print(format_multicone(multicone(cones)))
+    print(format_multicone(canonicalize(cones)))
     return 0
 
 

@@ -33,7 +33,11 @@ INVERSE = "inverse"
 SYMMETRY = "symmetry"
 ASYMMETRY = "asymmetry"
 
-PATTERN_KINDS = (CONTAINMENT, COMPOSITION, TRANSITIVITY, INVERSE, SYMMETRY, ASYMMETRY)
+#: How many relation ids an axiom or pattern of each kind names.
+ARITY = {CONTAINMENT: 2, COMPOSITION: 3, TRANSITIVITY: 1, INVERSE: 2, SYMMETRY: 1,
+         ASYMMETRY: 1}
+
+PATTERN_KINDS = tuple(ARITY)
 
 EXACT_TOL = 1e-6
 

@@ -163,11 +163,6 @@ def canonicalize(cones: Iterable[Cone]) -> Multicone:
     return Multicone(tuple(Cone(s, e) for s, e in merged))
 
 
-def multicone(cones: Iterable[Cone]) -> Multicone:
-    """Alias for canonicalize, for call sites that read better as a constructor."""
-    return canonicalize(cones)
-
-
 def mc_contains(m: Multicone, t: float) -> bool:
     return any(cone_contains(c, t) for c in m.cones)
 
@@ -300,11 +295,9 @@ def inverse(r: Rotation) -> Rotation:
     return Rotation(-r.theta, 1.0 / r.gamma, -r.delta)
 
 
-def format_multicone(m: Multicone, decimals: int = 9) -> str:
-    """Debug form `MC[(lower,upper);...]` with fixed decimal places."""
-    body = ";".join(
-        f"({c.lower:.{decimals}f},{c.upper:.{decimals}f})" for c in m.cones
-    )
+def format_multicone(m: Multicone) -> str:
+    """Debug form `MC[(lower,upper);...]` with nine decimal places."""
+    body = ";".join(f"({c.lower:.9f},{c.upper:.9f})" for c in m.cones)
     return f"MC[{body}]"
 
 

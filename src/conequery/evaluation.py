@@ -142,17 +142,17 @@ class EvalReport:
 
 
 def _structure_rollup(results: list[RankedResult]) -> StructureMetrics:
-    def per_query(fn) -> float:
-        return float(np.mean([fn(res) for res in results]))
-
-    return StructureMetrics(
-        n_queries=len(results),
-        n_answers=sum(len(res.ranks) for res in results),
-        mrr=per_query(lambda res: res.query_mrr),
-        hits1=per_query(lambda res: np.mean([r <= 1 for r in res.ranks])),
-        hits3=per_query(lambda res: np.mean([r <= 3 for r in res.ranks])),
-        hits10=per_query(lambda res: np.mean([r <= 10 for r in res.ranks])),
-    )
+    """Metrics of one structure's results: each query's MRR and Hits@k
+    (its hit count over its answer count), each averaged by one ``np.mean``
+    over the queries."""
+    mrr: list[float] = []
+    hits: dict[int, list[float]] = {1: [], 3: [], 10: []}
+    for res in results:
+        mrr.append(res.query_mrr)
+        for k, per_query in hits.items():
+            per_query.append(sum(r <= k for r in res.ranks) / len(res.ranks))
+    return StructureMetrics(len(results), sum(len(res.ranks) for res in results),
+                            float(np.mean(mrr)), *(float(np.mean(h)) for h in hits.values()))
 
 
 def _validate_vocabulary(store: ParameterStore, instances) -> None:
@@ -277,11 +277,11 @@ def evaluate_instances(store: ParameterStore, instances, *, lam: float,
     else:
         chunk_results = [score_chunk(*job) for job in jobs]
 
-    results: list[RankedResult] = [res for chunk in chunk_results for res in chunk]
-    per_structure = {
-        tag: _structure_rollup([res for res in results if res.query.structure == tag])
-        for tag in ALL_STRUCTURES if tag in by_tag
-    }
+    grouped: dict[str, list[RankedResult]] = {}  # jobs run in structure order
+    for (tag, _), chunk in zip(jobs, chunk_results):
+        grouped.setdefault(tag, []).extend(chunk)
+    results = list(chain.from_iterable(grouped.values()))
+    per_structure = {tag: _structure_rollup(group) for tag, group in grouped.items()}
     plain = [tag for tag in per_structure if tag not in NEGATION_STRUCTURES]
     negated = [tag for tag in per_structure if tag in NEGATION_STRUCTURES]
     average = float(np.mean([per_structure[t].mrr for t in plain])) if plain else float("nan")

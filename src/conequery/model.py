@@ -64,9 +64,7 @@ __all__ = [
     "table32_error_bound",
     "margin_loss",
     "batch_loss",
-    "param_count",
     "param_breakdown",
-    "intersection_net_param_count",
 ]
 
 #: How an existential edge changes the aperture: "additive" adds the
@@ -106,6 +104,11 @@ def _net_shapes(d: int) -> dict[str, tuple[int, ...]]:
     }
 
 
+def _check_sizes(n_entities: int, n_relations: int, d: int) -> None:
+    if min(n_entities, n_relations, d) <= 0:
+        raise ValueError("n_entities, n_relations, d must be positive")
+
+
 @dataclass
 class ModelParams:
     """A view of the parameter arrays, either plain numpy (evaluation) or
@@ -116,22 +119,18 @@ class ModelParams:
     entity_axis: object
     relation_axis: object
     relation_aperture: object
-    attn_w1: object = None
-    attn_b1: object = None
-    attn_w2: object = None
-    attn_b2: object = None
-    ds_in_w1: object = None
-    ds_in_b1: object = None
-    ds_in_w2: object = None
-    ds_in_b2: object = None
-    ds_out_w1: object = None
-    ds_out_b1: object = None
-    ds_out_w2: object = None
-    ds_out_b2: object = None
-
-    @property
-    def has_net(self) -> bool:
-        return self.attn_w1 is not None
+    attn_w1: object
+    attn_b1: object
+    attn_w2: object
+    attn_b2: object
+    ds_in_w1: object
+    ds_in_b1: object
+    ds_in_w2: object
+    ds_in_b2: object
+    ds_out_w1: object
+    ds_out_b1: object
+    ds_out_w2: object
+    ds_out_b2: object
 
 
 class ParameterStore:
@@ -151,12 +150,10 @@ class ParameterStore:
 
     def __init__(self, n_entities: int, n_relations: int, d: int, *,
                  seed: int = 0, rotation_mode: str = "additive",
-                 margin: float = 20.0, with_net: bool = True,
-                 with_margin: bool = True):
+                 margin: float = 20.0):
         if rotation_mode not in ROTATION_MODES:
             raise ValueError(f"rotation_mode must be one of {ROTATION_MODES}")
-        if min(n_entities, n_relations, d) <= 0:
-            raise ValueError("n_entities, n_relations, d must be positive")
+        _check_sizes(n_entities, n_relations, d)
         self.n_entities = int(n_entities)
         self.n_relations = int(n_relations)
         self.d = int(d)
@@ -167,15 +164,13 @@ class ParameterStore:
             "relation_axis": rng.uniform(-PI, PI, size=(n_relations, d)),
             "relation_aperture": rng.uniform(0.0, PI / 16.0, size=(n_relations, d)),
         }
-        if with_net:
-            for name, shape in _net_shapes(d).items():
-                if name.endswith(("b1", "b2")):
-                    self.arrays[name] = np.zeros(shape)
-                else:
-                    bound = math.sqrt(6.0 / (shape[0] + shape[1]))
-                    self.arrays[name] = rng.uniform(-bound, bound, size=shape)
-        if with_margin:
-            self.arrays["margin"] = np.array([float(margin)])
+        for name, shape in _net_shapes(d).items():
+            if name.endswith(("b1", "b2")):
+                self.arrays[name] = np.zeros(shape)
+            else:
+                bound = math.sqrt(6.0 / (shape[0] + shape[1]))
+                self.arrays[name] = rng.uniform(-bound, bound, size=shape)
+        self.arrays["margin"] = np.array([float(margin)])
 
     @property
     def margin(self) -> float:
@@ -183,10 +178,6 @@ class ParameterStore:
 
     def trainable_names(self) -> tuple[str, ...]:
         return tuple(n for n in self.arrays if n != "margin")
-
-    def param_count(self) -> int:
-        """Total number of scalar parameters actually allocated."""
-        return sum(a.size for a in self.arrays.values())
 
     def tensors(self, tape: ad.Tape | None = None) -> ModelParams:
         """Plain-array view (tape=None) or tape-leaf view for a train step.
@@ -301,8 +292,6 @@ def intersect_cones(m: ModelParams, cones: Sequence[ConeBatch]) -> ConeBatch:
     """
     if len(cones) < 2:
         raise ValueError("intersection needs at least 2 inputs")
-    if not m.has_net:
-        raise ValueError("this parameter store was built without the intersection net")
     axes = ad.stack([c.axis for c in cones], axis=0)  # (k, batch, d)
     half = ad.multiply(ad.stack([c.aperture for c in cones], axis=0), 0.5)
     # per input row: its lower-boundary angles, then its upper-boundary ones
@@ -723,37 +712,18 @@ def batch_loss(m: ModelParams, tag: str, anchors, relations, positives, negative
 # ---------------------------------------------------------------------------
 
 
-def intersection_net_param_count(d: int) -> int:
-    """11*d^2 + 7*d scalars: attention MLP 6d^2+3d, DeepSets 5d^2+4d."""
-    return sum(int(np.prod(s)) for s in _net_shapes(d).values())
-
-
-def param_breakdown(n_entities: int, n_relations: int, d: int, *,
-                    net: bool = True, margin: bool = True) -> dict[str, int]:
-    """Itemized scalar-parameter arithmetic (no arrays are allocated).
-
-    entity angles n_entities*d; relation axis+aperture 2*n_relations*d;
-    intersection net 11*d^2+7*d; plus the stored margin scalar.
+def param_breakdown(n_entities: int, n_relations: int, d: int) -> dict[str, int]:
+    """Itemized scalar-parameter arithmetic of a ``ParameterStore`` (no
+    arrays are allocated): entity angles n_entities*d; relation axis and
+    aperture 2*n_relations*d; intersection net 11*d^2+7*d (attention MLP
+    6d^2+3d, DeepSets 5d^2+4d); plus the stored margin scalar.
     """
+    _check_sizes(n_entities, n_relations, d)
     parts = {
         "entity_angles": n_entities * d,
         "relation_angles": 2 * n_relations * d,
-        "intersection_net": intersection_net_param_count(d) if net else 0,
-        "margin_scalar": 1 if margin else 0,
+        "intersection_net": sum(math.prod(s) for s in _net_shapes(d).values()),
+        "margin_scalar": 1,
     }
     parts["total"] = sum(parts.values())
     return parts
-
-
-def param_count(params: "ParameterStore | int", n_relations: int | None = None,
-                d: int | None = None, *, net: bool = True, margin: bool = True) -> int:
-    """Total scalar parameter count.
-
-    Either pass a ParameterStore (counts the allocated arrays) or the three
-    integers (n_entities, n_relations, d) for the pure-arithmetic audit.
-    """
-    if isinstance(params, ParameterStore):
-        return params.param_count()
-    if n_relations is None or d is None:
-        raise ValueError("pass a ParameterStore or (n_entities, n_relations, d)")
-    return param_breakdown(int(params), n_relations, d, net=net, margin=margin)["total"]

@@ -28,19 +28,17 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from conequery.conditions import (
+    ARITY,
     COMPOSITION,
     CONTAINMENT,
     INVERSE,
     SYMMETRY,
     TRANSITIVITY,
 )
-from conequery.queries import QueryInstance
 
 # Kinds mined here, in canonical output order.  Transitivity is scored as
 # composition with r1 == r2 == r3 but labelled separately and exclusively.
 MINED_KINDS = (SYMMETRY, INVERSE, CONTAINMENT, COMPOSITION, TRANSITIVITY)
-
-OTHERS = "Others"
 
 
 @dataclass(frozen=True)
@@ -60,11 +58,9 @@ class PatternLabel:
     def __post_init__(self) -> None:
         if self.kind not in MINED_KINDS:
             raise ValueError(f"unknown pattern kind: {self.kind!r}")
-        expected = {SYMMETRY: 1, TRANSITIVITY: 1, INVERSE: 2,
-                    CONTAINMENT: 2, COMPOSITION: 3}[self.kind]
-        if len(self.relations) != expected:
+        if len(self.relations) != ARITY[self.kind]:
             raise ValueError(
-                f"{self.kind} label needs {expected} relation ids, "
+                f"{self.kind} label needs {ARITY[self.kind]} relation ids, "
                 f"got {self.relations!r}")
         if self.support < 0:
             raise ValueError("support must be non-negative")
@@ -174,40 +170,6 @@ def subgroup_relations(labels: Iterable[PatternLabel]) -> dict[str, set[int]]:
     for label in labels:
         groups.setdefault(label.kind, set()).update(label.relations)
     return groups
-
-
-def classify_queries(
-    queries: Sequence[QueryInstance],
-    labels: Iterable[PatternLabel],
-) -> list[tuple[str, ...]]:
-    """Assign each query every pattern subgroup it touches (multi-label).
-
-    Returns one tuple of kind names per query, aligned with ``queries``;
-    a query whose relations match no label gets ``("Others",)``.
-    """
-    groups = subgroup_relations(labels)
-    ordered = [kind for kind in MINED_KINDS if kind in groups]
-    assignments: list[tuple[str, ...]] = []
-    for query in queries:
-        mentioned = set(query.relations)
-        tags = tuple(k for k in ordered if groups[k] & mentioned)
-        assignments.append(tags if tags else (OTHERS,))
-    return assignments
-
-
-def subgroup_shares(
-    assignments: Sequence[tuple[str, ...]],
-) -> dict[str, float]:
-    """Fraction of queries carrying each subgroup tag (multi-label: may sum
-    past 1).  Deterministic kind order, ``Others`` last when present."""
-    if not assignments:
-        return {}
-    counts: dict[str, int] = defaultdict(int)
-    for tags in assignments:
-        for tag in tags:
-            counts[tag] += 1
-    order = [k for k in (*MINED_KINDS, OTHERS) if k in counts]
-    return {k: counts[k] / len(assignments) for k in order}
 
 
 _TSV_HEADER = "kind\trelations\tsupport\tcoverage"

@@ -539,25 +539,29 @@ def one_hop_instances(graph: KnowledgeGraph) -> list[QueryInstance]:
     ]
 
 
+#: Walks ``sample_instance`` tries before it gives up on one instance.
+MAX_ATTEMPTS = 100
+
+
 def sample_instance(rng: np.random.Generator, structure: str,
                     small_graph: KnowledgeGraph,
-                    full_graph: KnowledgeGraph | None = None,
-                    max_attempts: int = 100,
-                    require_hard: bool = False) -> QueryInstance | None:
+                    full_graph: KnowledgeGraph | None = None) -> QueryInstance | None:
     """Sample one grounded instance of ``structure``.
 
-    Anchors are walked backward from a target answer drawn on the graph whose
-    answers must be nonempty: the small graph for training instances, the
-    full graph when ``require_hard`` (so held-out edges can be reached).
-    Returns None if no valid instance is found within ``max_attempts``.
+    Without ``full_graph`` the instance needs easy answers on the small
+    graph (a training instance); with it, hard answers, those on the full
+    graph but not on the small one.  Anchors are walked backward from a
+    target answer drawn on the graph whose answers must be nonempty, the
+    full one when given (so held-out edges can be reached).  Returns None if
+    no valid instance is found within ``MAX_ATTEMPTS`` walks.
     """
     walk = _WALKERS[structure]
     answer = _ANSWERERS[structure]
     n_anchor, n_rel = structure_slots(structure)
-    walk_graph = full_graph if (require_hard and full_graph is not None) else small_graph
+    walk_graph = small_graph if full_graph is None else full_graph
     if not walk_graph.reachable:
         return None
-    for _ in range(max_attempts):
+    for _ in range(MAX_ATTEMPTS):
         anchors: dict[int, int] = {}
         relations: dict[int, int] = {}
         target = int(_choice(rng, walk_graph.reachable))
@@ -573,11 +577,8 @@ def sample_instance(rng: np.random.Generator, structure: str,
                 continue
             hard: frozenset[int] = frozenset()
         else:
-            full = answer(anc, rel, full_graph)
-            hard = full - easy
-            if require_hard and not hard:
-                continue
-            if not full:
+            hard = answer(anc, rel, full_graph) - easy
+            if not hard:
                 continue
         return QueryInstance(structure, anc, rel,
                              tuple(sorted(easy)), tuple(sorted(hard)))
@@ -619,8 +620,7 @@ def generate_dataset(train_triples: Sequence[tuple[int, int, int]],
                      test_triples: Sequence[tuple[int, int, int]],
                      n_entities: int, n_relations: int,
                      counts: dict[str, int],
-                     seed: int = 0,
-                     max_attempts: int = 100) -> DatasetBundle:
+                     seed: int = 0) -> DatasetBundle:
     """Generate query instances for every requested structure and split.
 
     Train queries are answered on the train graph alone.  Valid instances
@@ -638,15 +638,13 @@ def generate_dataset(train_triples: Sequence[tuple[int, int, int]],
     shortfalls: dict[str, dict[str, int]] = {"train": {}, "valid": {}, "test": {}}
 
     def fill(split: str, small: KnowledgeGraph, full: KnowledgeGraph | None,
-             structures: Sequence[str], require_hard: bool) -> list[QueryInstance]:
+             structures: Sequence[str]) -> list[QueryInstance]:
         out: list[QueryInstance] = []
         for tag in structures:
             want = counts.get(tag, 0)
             got = 0
             for _ in range(want):
-                inst = sample_instance(rng, tag, small, full,
-                                       max_attempts=max_attempts,
-                                       require_hard=require_hard)
+                inst = sample_instance(rng, tag, small, full)
                 if inst is not None:
                     out.append(inst)
                     got += 1
@@ -654,9 +652,9 @@ def generate_dataset(train_triples: Sequence[tuple[int, int, int]],
                 shortfalls[split][tag] = want - got
         return out
 
-    train = fill("train", train_graph, None, TRAIN_STRUCTURES, False)
-    valid = fill("valid", train_graph, valid_graph, ALL_STRUCTURES, True)
-    test = fill("test", valid_graph, full_graph, ALL_STRUCTURES, True)
+    train = fill("train", train_graph, None, TRAIN_STRUCTURES)
+    valid = fill("valid", train_graph, valid_graph, ALL_STRUCTURES)
+    test = fill("test", valid_graph, full_graph, ALL_STRUCTURES)
     return DatasetBundle(train, valid, test, train_graph, valid_graph,
                          full_graph, shortfalls)
 
@@ -664,6 +662,10 @@ def generate_dataset(train_triples: Sequence[tuple[int, int, int]],
 # ---------------------------------------------------------------------------
 # File formats
 # ---------------------------------------------------------------------------
+
+
+#: The keys of one JSONL query record, in the order they are written.
+_RECORD_KEYS = ("structure", "anchors", "relations", "easy", "hard")
 
 
 def write_queries_jsonl(path: str, instances: Iterable[QueryInstance]) -> None:
@@ -683,31 +685,40 @@ def write_queries_jsonl(path: str, instances: Iterable[QueryInstance]) -> None:
 
 
 def read_queries_jsonl(path: str) -> list[QueryInstance]:
-    """Instances as ``write_queries_jsonl`` writes them.  A record of unknown
-    structure, or whose anchors and relations do not fill its structure's
-    slots, raises ValueError naming ``path:line``."""
+    """Instances as ``write_queries_jsonl`` writes them.  A line that is not
+    JSON or not an object, or a record that misses a key, names an unknown
+    structure, holds an id that is not a JSON integer, or whose anchors and
+    relations do not fill its structure's slots, raises ValueError naming
+    ``path:line``."""
     out: list[QueryInstance] = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
-            rec = json.loads(line)
-            tag, where = rec["structure"], f"{path}:{lineno}"
-            if tag not in STRUCTURE_TEMPLATES:
+            where = f"{path}:{lineno}"
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{where}: not JSON ({exc})") from None
+            if not isinstance(rec, dict):
+                raise ValueError(f"{where}: expected a JSON object, got {line!r}")
+            for key in _RECORD_KEYS:
+                if key not in rec:
+                    raise ValueError(f"{where}: record misses key {key!r}")
+            tag = rec["structure"]
+            if not isinstance(tag, str) or tag not in STRUCTURE_TEMPLATES:
                 raise ValueError(f"{where}: unknown structure tag {tag!r}")
+            for key in _RECORD_KEYS[1:]:
+                if not isinstance(rec[key], list) or any(type(i) is not int for i in rec[key]):
+                    raise ValueError(f"{where}: {key} must be a list of integer ids, "
+                                     f"got {rec[key]!r}")
             n_anchors, n_relations = _SLOTS[tag]
             got = len(rec["anchors"]), len(rec["relations"])
             if got != (n_anchors, n_relations):
                 raise ValueError(f"{where}: {tag} needs {n_anchors} anchors and {n_relations} "
                                  f"relations, got {got[0]} and {got[1]}")
-            out.append(QueryInstance(
-                tag,
-                tuple(int(a) for a in rec["anchors"]),
-                tuple(int(r) for r in rec["relations"]),
-                tuple(int(e) for e in rec["easy"]),
-                tuple(int(e) for e in rec["hard"]),
-            ))
+            out.append(QueryInstance(tag, *(tuple(rec[key]) for key in _RECORD_KEYS[1:])))
     return out
 
 

@@ -560,6 +560,8 @@ def gradient_check_model(n_instances: int = 20, d: int = 8, seed: int = 0, *,
     gradient this loss produces) count as agreeing zeros (see
     ``autodiff.grad_check`` for why both are necessary).
     """
+    if n_instances < 1:
+        raise ValueError("the gradient check needs at least one instance")
     lam, margin = 0.02, 2.0
     rng = np.random.default_rng(seed)
     graph = _random_graph(rng, n_entities, n_relations, n_triples)

@@ -23,6 +23,7 @@ from conequery.cones import (
 )
 from conequery import autodiff as ad
 from conequery import conditions, queries
+from conequery.evaluation import StructureMetrics
 
 
 def random_cone(rng: np.random.Generator) -> Cone:
@@ -462,23 +463,58 @@ def recursive_walk(rng, node, target, graph, anchors, relations) -> bool:
 # query files that the JSONL reader must reject
 # ---------------------------------------------------------------------------
 
-def _record(tag, anchors, relations):
-    return json.dumps({"structure": tag, "anchors": anchors, "relations": relations,
-                       "easy": [5], "hard": []})
+def _record(tag, anchors, relations, **changes):
+    record = {"structure": tag, "anchors": anchors, "relations": relations,
+              "easy": [5], "hard": []}
+    record.update(changes)
+    return json.dumps({k: v for k, v in record.items() if v is not None})
 
 
-#: Query files whose last record does not fill its structure's slots: a 2i
-#: with one anchor, a 1p with two, and a 1p file mixing one and two anchors.
+def _slots_message(tag):
+    n_anchors, n_relations = queries.structure_slots(tag)
+    return f"{tag} needs {n_anchors} anchors and {n_relations} relations"
+
+
+#: Query files whose last record the reader must reject, each with the start
+#: of its message after "path:line: ".  A 2i with one anchor, a 1p with two,
+#: and a 1p file mixing one and two anchors do not fill their structure's
+#: slots; the others miss a key, are not JSON or not an object, or hold an id
+#: that is not an integer.
 MALFORMED_QUERY_FILES = {
-    "2i_one_anchor": ("2i", [_record("2i", [3], [0, 1])]),
-    "1p_two_anchors": ("1p", [_record("1p", [3, 4], [0])]),
-    "1p_mixed_lengths": ("1p", [_record("1p", [3], [0]), _record("1p", [3, 4], [0])]),
+    "2i_one_anchor": ([_record("2i", [3], [0, 1])], _slots_message("2i")),
+    "1p_two_anchors": ([_record("1p", [3, 4], [0])], _slots_message("1p")),
+    "1p_mixed_lengths": ([_record("1p", [3], [0]), _record("1p", [3, 4], [0])],
+                         _slots_message("1p")),
+    "missing_hard": ([_record("1p", [3], [0]), _record("1p", [3], [0], hard=None)],
+                     "record misses key 'hard'"),
+    "not_an_object": (["[1,2]"], "expected a JSON object"),
+    "not_json": ([_record("1p", [3], [0]), '{"structure": "1p",'], "not JSON"),
+    "string_id": ([_record("1p", ["x"], [0])], "anchors must be a list of integer ids"),
+    "float_id": ([_record("1p", [3], [0], easy=[5.5])], "easy must be a list of integer ids"),
 }
 
 
 def write_malformed_query_file(path, case) -> str:
     """Write one MALFORMED_QUERY_FILES case; return the reader's message prefix."""
-    tag, lines = MALFORMED_QUERY_FILES[case]
+    lines, message = MALFORMED_QUERY_FILES[case]
     path.write_text("\n".join(lines) + "\n")
-    n_anchors, n_relations = queries.structure_slots(tag)
-    return f"{path}:{len(lines)}: {tag} needs {n_anchors} anchors and {n_relations} relations"
+    return f"{path}:{len(lines)}: {message}"
+
+
+# ---------------------------------------------------------------------------
+# the per-structure rollup as first written
+# ---------------------------------------------------------------------------
+
+def reference_structure_rollup(results) -> StructureMetrics:
+    """One structure's metrics with an ``np.mean`` per query and Hits@k."""
+    def per_query(fn) -> float:
+        return float(np.mean([fn(res) for res in results]))
+
+    return StructureMetrics(
+        n_queries=len(results),
+        n_answers=sum(len(res.ranks) for res in results),
+        mrr=per_query(lambda res: res.query_mrr),
+        hits1=per_query(lambda res: np.mean([r <= 1 for r in res.ranks])),
+        hits3=per_query(lambda res: np.mean([r <= 3 for r in res.ranks])),
+        hits10=per_query(lambda res: np.mean([r <= 10 for r in res.ranks])),
+    )

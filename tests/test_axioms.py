@@ -303,6 +303,19 @@ class TestStoreExtraction:
         assert np.all((theta >= -np.pi) & (theta < np.pi))
 
 
+    def test_reads_raw_angles_like_wrap_and_abs(self):
+        # raw angles just below -pi, at +-pi and beyond +-2 pi, wrapped by
+        # the model's relation_rotation as by wrap_angle, bit for bit
+        store = ParameterStore(n_entities=5, n_relations=3, d=8, seed=1)
+        edges = [np.nextafter(-np.pi, -np.inf), -np.pi, np.pi, 2 * np.pi + 0.3,
+                 -2 * np.pi - 0.3, 7.5, -13.0, 0.0]
+        store.arrays["relation_axis"][0] = edges
+        store.arrays["relation_aperture"][0] = [-x for x in edges]
+        theta, delta = relation_rotation_angles(store)
+        assert np.array_equal(theta, wrap_angle(store.arrays["relation_axis"]))
+        assert np.array_equal(delta, np.abs(store.arrays["relation_aperture"]))
+
+
 class TestOntologyFile:
     NAMES = ["colleague", "advises", "advisedBy", "worksAt"]
 

@@ -267,6 +267,22 @@ class TestSmallCommands:
     def test_param_count_needs_arguments(self):
         assert main(["param-count"]) == 1
 
+    @pytest.mark.parametrize("sizes", [("-5", "2", "4"), ("10", "2", "0")])
+    def test_param_count_rejects_non_positive_sizes(self, sizes, capsys, caplog):
+        entities, relations, d = sizes
+        rc = main(["param-count", "--entities", entities, "--relations", relations,
+                   "--d", d])
+        assert rc == 1
+        assert capsys.readouterr().out == ""
+        assert "n_entities, n_relations, d must be positive" in caplog.text
+
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_grad_check_rejects_no_samples(self, samples, capsys, caplog):
+        rc = main(["grad-check", "--samples", samples, "--d", "4"])
+        assert rc == 1
+        assert capsys.readouterr().out == ""
+        assert "at least one instance" in caplog.text
+
     def test_grad_check_small(self, capsys):
         rc = main(["grad-check", "--samples", "2", "--d", "4"])
         assert rc == 0

@@ -6,11 +6,13 @@ import math
 import numpy as np
 import pytest
 
-from _helpers import naive_filtered_rank
+from _helpers import naive_filtered_rank, reference_structure_rollup
 import conequery.model as model
 from conequery.evaluation import (
     NEGATION_STRUCTURES,
+    RankedResult,
     _rescore,
+    _structure_rollup,
     evaluate_instances,
     expected_random_mrr,
     expected_random_mrr_for,
@@ -170,6 +172,34 @@ def test_evaluate_threads_deterministic(toy_eval_set):
     b = evaluate_instances(store, bundle.test, lam=0.02, threads=4, chunk_size=3)
     assert a.per_structure == b.per_structure
     assert a.average_mrr == b.average_mrr
+
+
+def test_structure_rollup_equals_the_reference_on_random_ranks():
+    # many queries (numpy sums more than eight terms pairwise), each with one
+    # to seven answers whose ranks sit on and around the Hits@k cut-offs
+    rng = np.random.default_rng(12)
+    query = QueryInstance("1p", (0,), (0,), (1,), ())
+    for n_queries in (1, 7, 50):
+        results = []
+        for _ in range(n_queries):
+            ranks = tuple(int(r) for r in rng.choice([1, 2, 3, 4, 10, 11, 250],
+                                                     size=rng.integers(1, 8)))
+            results.append(RankedResult(query, tuple(range(len(ranks))), ranks))
+        assert _structure_rollup(results) == reference_structure_rollup(results)
+
+
+def test_evaluate_rollup_equals_the_per_structure_rescan(every_structure_set):
+    kg, instances = every_structure_set
+    store = ParameterStore(kg.n_entities, kg.n_relations, 16, seed=2)
+    report = evaluate_instances(store, instances, lam=0.02, chunk_size=3)
+    by_structure = [q for tag in ALL_STRUCTURES for q in instances if q.structure == tag]
+    assert [res.query for res in report.results] == by_structure
+    assert report.per_structure == {
+        tag: reference_structure_rollup([res for res in report.results
+                                         if res.query.structure == tag])
+        for tag in ALL_STRUCTURES
+    }
+    assert list(report.per_structure) == list(ALL_STRUCTURES)
 
 
 def test_evaluate_random_embeddings_near_analytic_baseline(toy_eval_set):

@@ -34,12 +34,10 @@ from conequery.model import (
     entity_points,
     entity_table32,
     intersect_cones,
-    intersection_net_param_count,
     margin_loss,
     negate_cone,
     nominal_cone,
     param_breakdown,
-    param_count,
     project_cone,
     table32_error_bound,
 )
@@ -311,9 +309,6 @@ def test_intersect_requires_two_inputs_and_net():
     q = ConeBatch(np.zeros((1, 6)), np.ones((1, 6)))
     with pytest.raises(ValueError):
         intersect_cones(m, [q])
-    bare = toy_store(with_net=False).tensors()
-    with pytest.raises(ValueError):
-        intersect_cones(bare, [q, q])
 
 
 # ---------------------------------------------------------------------------
@@ -693,7 +688,7 @@ def test_distance_backward_peak_memory_stays_near_one_dense_array(monkeypatch):
     tape = ad.Tape()
     leaves = [tape.leaf(x) for x in (axis, aperture, entity)]
     dist = cone_entity_distance(ConeBatch(leaves[0], leaves[1]), leaves[2], 0.3)
-    g = rng.normal(size=dist.shape)
+    g = rng.normal(size=ad.values_of(dist).shape)
     dense_bytes = b * n * d * 8
     assert dense_bytes // model._TILE_BYTES == 32
     tracemalloc.start()
@@ -780,7 +775,7 @@ def _table_case(rng, d, n_disjuncts, batch=3, n_entities=8):
         aperture = np.select([kind == 0, kind == 1], [0.0, TWO_PI],
                              rng.uniform(0.0, TWO_PI, size=(batch, d)))
         disjuncts.append(ConeBatch(rng.uniform(-PI, PI, size=(batch, d)), aperture))
-    store = ParameterStore(n_entities, 1, d, seed=int(rng.integers(1 << 31)), with_net=False)
+    store = ParameterStore(n_entities, 1, d, seed=int(rng.integers(1 << 31)))
     for row, angles in enumerate(store.arrays["entity_axis"]):
         cone = disjuncts[rng.integers(n_disjuncts)]
         q = rng.integers(batch)
@@ -885,19 +880,24 @@ def test_eval_path_and_train_path_agree_bitwise():
 
 
 def test_param_count_desk_example():
-    assert param_count(10, 2, 4, net=False, margin=False) == 56
-    store = ParameterStore(10, 2, 4, with_net=False, with_margin=False)
-    assert param_count(store) == 56
+    # 10 entities, 2 relations, d=4: 40 entity angles and 16 relation angles
+    parts = param_breakdown(10, 2, 4)
+    assert parts["entity_angles"] + parts["relation_angles"] == 56
+    store = ParameterStore(10, 2, 4)
+    assert sum(store.arrays[name].size
+               for name in ("entity_axis", "relation_axis", "relation_aperture")) == 56
 
 
 def test_param_count_formula_matches_allocation():
     store = toy_store(n_entities=7, n_relations=3, d=4)
-    assert param_count(store) == param_breakdown(7, 3, 4)["total"]
+    parts = param_breakdown(7, 3, 4)
+    assert sum(a.size for a in store.arrays.values()) == parts["total"]
+    assert store.arrays["margin"].size == parts["margin_scalar"]
 
 
 def test_net_param_count_closed_form():
     for d in (1, 4, 32, 800):
-        assert intersection_net_param_count(d) == 11 * d * d + 7 * d
+        assert param_breakdown(1, 1, d)["intersection_net"] == 11 * d * d + 7 * d
 
 
 def test_param_breakdown_components_sum():
@@ -915,9 +915,13 @@ def test_param_count_full_scale_audit():
     assert param_breakdown(36556, 22, 800)["total"] == 36_325_601
 
 
-def test_param_count_requires_complete_arguments():
-    with pytest.raises(ValueError):
-        param_count(10)
+def test_param_breakdown_rejects_non_positive_sizes():
+    for sizes in [(-5, 2, 4), (10, 0, 4), (10, 2, 0)]:
+        with pytest.raises(ValueError, match="must be positive") as exc:
+            param_breakdown(*sizes)
+        with pytest.raises(ValueError) as store_exc:
+            ParameterStore(*sizes)
+        assert str(exc.value) == str(store_exc.value)
 
 
 def test_store_rejects_bad_configuration():

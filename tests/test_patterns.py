@@ -10,14 +10,12 @@ from conequery.conditions import (
     SYMMETRY,
     TRANSITIVITY,
 )
+from conequery.evaluation import RankedResult, subgroup_report
 from conequery.patterns import (
-    OTHERS,
     PatternLabel,
-    classify_queries,
     mine_patterns,
     read_labels_tsv,
     subgroup_relations,
-    subgroup_shares,
     write_labels_tsv,
 )
 from conequery.planted import RELATION_NAMES, build_planted_kg
@@ -174,22 +172,26 @@ class TestPlantedRecovery:
 
 
 class TestClassification:
-    def q(self, *relations):
-        return QueryInstance("1p", (0,), tuple(relations), (1,), ())
+    """Mined labels group queries through ``subgroup_relations`` and
+    ``evaluation.subgroup_report``, the pipeline of ``conequery eval --labels``."""
+
+    def result(self, *relations):
+        return RankedResult(QueryInstance("1p", (0,), tuple(relations), (1,), ()), (1,), (1,))
 
     def test_multilabel_and_others(self):
         labels = [PatternLabel(SYMMETRY, (0,), 10, 1.0),
                   PatternLabel(INVERSE, (1, 2), 10, 0.9)]
-        tags = classify_queries([self.q(0), self.q(0, 2), self.q(5)], labels)
-        assert tags[0] == (SYMMETRY,)
-        assert tags[1] == (SYMMETRY, INVERSE)
-        assert tags[2] == (OTHERS,)
+        results = [self.result(0), self.result(0, 2), self.result(5)]
+        report = subgroup_report(results, subgroup_relations(labels))
+        assert {name: count for name, (_, count) in report.items()} == {
+            SYMMETRY: 2, INVERSE: 1, "Others": 1}
 
     def test_shares_match_direct_count(self):
         labels = [PatternLabel(SYMMETRY, (0,), 10, 1.0)]
-        queries = [self.q(0), self.q(0), self.q(3), self.q(4)]
-        shares = subgroup_shares(classify_queries(queries, labels))
-        assert shares == {SYMMETRY: 0.5, OTHERS: 0.5}
+        results = [self.result(0), self.result(0), self.result(3), self.result(4)]
+        report = subgroup_report(results, subgroup_relations(labels))
+        shares = {name: count / len(results) for name, (_, count) in report.items()}
+        assert shares == {SYMMETRY: 0.5, "Others": 0.5}
 
     def test_subgroup_relations_union(self):
         labels = [PatternLabel(INVERSE, (1, 2), 10, 0.9),
@@ -197,7 +199,8 @@ class TestClassification:
         assert subgroup_relations(labels) == {INVERSE: {1, 2, 3}}
 
     def test_empty_assignments(self):
-        assert subgroup_shares([]) == {}
+        labels = [PatternLabel(SYMMETRY, (0,), 10, 1.0)]
+        assert subgroup_report([], subgroup_relations(labels)) == {}
 
 
 class TestTsvRoundTrip:

@@ -336,7 +336,7 @@ def test_sampled_hard_answers_need_heldout_edges():
     found = 0
     for tag in ("1p", "2p", "2i"):
         for _ in range(20):
-            inst = sample_instance(rng, tag, small, full, require_hard=True)
+            inst = sample_instance(rng, tag, small, full)
             if inst is None:
                 continue
             found += 1
@@ -442,7 +442,7 @@ def test_generate_dataset_reports_shortfall_instead_of_failing():
     # A single-edge graph cannot host 3p chains or intersections.
     triples = [(0, 0, 1)]
     counts = {"3p": 5, "1p": 1}
-    bundle = generate_dataset(triples, [], [], 2, 1, counts, seed=0, max_attempts=5)
+    bundle = generate_dataset(triples, [], [], 2, 1, counts, seed=0)
     assert bundle.shortfalls["train"].get("3p") == 5
     assert "1p" not in bundle.shortfalls["train"]
 
