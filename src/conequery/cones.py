@@ -36,7 +36,19 @@ PROPER = "proper"
 
 def wrap_angle(t):
     """Reduce an angle (a float or an array) to the half-open interval [-pi, pi)."""
-    w = (t + PI) % TWO_PI - PI
+    s = t + PI
+    if (isinstance(s, np.ndarray) and s.dtype.kind == "f" and s.size
+            and s.min() >= -TWO_PI and s.max() < 2.0 * TWO_PI):
+        # Here one masked turn equals s % TWO_PI bit for bit: fmod is exact,
+        # and so is s - TWO_PI on [TWO_PI, 2 * TWO_PI) (Sterbenz's lemma).
+        # NaN and inf fail the range test and take `%` below.
+        below, above = s < 0.0, s >= TWO_PI
+        np.add(s, TWO_PI, out=s, where=below)
+        np.subtract(s, TWO_PI, out=s, where=above)
+        np.subtract(s, PI, out=s)
+        np.subtract(s, TWO_PI, out=s, where=s >= PI)
+        return s
+    w = s % TWO_PI - PI
     # Float modulo can land exactly on the upper seam for tiny negatives.
     if isinstance(w, float):
         return w - TWO_PI if w >= PI else w

@@ -771,14 +771,26 @@ def write_id_map(path: str, names: Sequence[str]) -> None:
 
 
 def read_id_map(path: str) -> list[str]:
+    """Names as ``write_id_map`` writes them, one ``id<TAB>name`` per line.
+    A line with no tab, an id that is not an integer or an id seen before
+    raises ValueError naming ``path:line``; the ids must be exactly 0..n-1."""
     names: dict[int, str] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for ln, line in enumerate(fh, 1):
             line = line.rstrip("\n")
             if not line:
                 continue
-            idx, name = line.split("\t", 1)
-            names[int(idx)] = name
+            where = f"{path}:{ln}"
+            idx, tab, name = line.partition("\t")
+            if not tab:
+                raise ValueError(f"{where}: expected id<TAB>name, got {line!r}")
+            try:
+                i = int(idx)
+            except ValueError:
+                raise ValueError(f"{where}: id {idx!r} is not an integer") from None
+            if i in names:
+                raise ValueError(f"{where}: repeats id {i} (already {names[i]!r})")
+            names[i] = name
     if sorted(names) != list(range(len(names))):
         raise ValueError(f"{path}: ids must be exactly 0..n-1")
     return [names[i] for i in range(len(names))]

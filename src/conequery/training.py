@@ -4,7 +4,9 @@ Each batch holds instances of a single query structure, so they share one
 slot template and embed as a matrix batch; the structure itself is drawn
 uniformly at random per step, which mixes structures across batches without
 any per-structure schedule.  Training minimises the margin loss of the
-answer cones against uniformly sampled negative entities.
+answer cones against uniformly sampled negative entities.  ``train()`` turns
+each structure's instances into arrays once, and draws a batch with the same
+rng calls as sampling each instance's negatives on its own.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
+from itertools import chain
 
 import numpy as np
 
@@ -153,25 +156,107 @@ def resolve_config(*, profile: str | None = None,
 # negative sampling
 # ---------------------------------------------------------------------------
 
+def _complement_ids(keys: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+    """Members of given ranks in the complement of a set of integers.
+
+    For the set's members sorted and distinct, u_0 < u_1 < ..., ``keys`` is
+    u_k - k, the count of non-members below u_k; the non-member of rank p is
+    then p + #{k : u_k - k <= p}.
+    """
+    return ranks + np.searchsorted(keys, ranks, "right")
+
+
+def _distinct(ids: np.ndarray) -> np.ndarray:
+    """``ids`` sorted without repeats; np.unique would import numpy.ma, which
+    costs about 1 MB of resident memory."""
+    ids = np.sort(ids)
+    keep = np.ones(ids.size, dtype=bool)
+    np.not_equal(ids[1:], ids[:-1], out=keep[1:])
+    return ids[keep]
+
+
 def sample_negatives(instance: QueryInstance, k: int, rng: np.random.Generator,
                      n_entities: int) -> np.ndarray:
     """k entities drawn uniformly from those that do not answer the query.
 
     Draws without replacement while the complement is large enough, with
-    replacement otherwise.  Raises when every entity is an answer or an
-    answer id lies outside [0, n_entities).
+    replacement otherwise; the rng draws are those of ``rng.choice`` over the
+    sorted complement.  Raises when every entity is an answer or an answer
+    id lies outside [0, n_entities).
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    known = np.array(instance.easy + instance.hard, dtype=np.int64)
-    if known.size and (known.min() < 0 or known.max() >= n_entities):
+    known = _distinct(np.array(instance.easy + instance.hard, dtype=np.int64))
+    if known.size and (known[0] < 0 or known[-1] >= n_entities):
         raise ValueError(f"answer id out of range for {n_entities} entities")
-    is_negative = np.ones(n_entities, dtype=bool)
-    is_negative[known] = False
-    complement = np.flatnonzero(is_negative)
-    if complement.size == 0:
+    size = n_entities - known.size
+    if size == 0:
         raise ValueError("every entity answers this query; no negatives exist")
-    return rng.choice(complement, size=k, replace=complement.size < k)
+    picks = rng.choice(size, size=k, replace=size < k)
+    return _complement_ids(known - np.arange(known.size), picks)
+
+
+def _describe(q: QueryInstance) -> str:
+    return f"the {q.structure} query on anchors {q.anchors} and relations {q.relations}"
+
+
+class _StructurePool:
+    """One structure's usable instances as arrays, built once per ``train()``.
+
+    Instance j's entity e becomes j * n_entities + e, so every instance's
+    known answers form one sorted set, and one ``_complement_ids`` call maps
+    the negatives' ranks for a whole batch.
+    """
+
+    def __init__(self, instances, n_entities: int):
+        self.anchors = np.array([q.anchors for q in instances], dtype=np.int64)
+        self.relations = np.array([q.relations for q in instances], dtype=np.int64)
+        answers = [q.easy if q.easy else q.hard for q in instances]
+        self.answer_counts = [len(a) for a in answers]
+        self.answer_starts = np.cumsum([0] + self.answer_counts[:-1])
+        self.answers = np.fromiter(chain.from_iterable(answers), np.int64,
+                                   count=sum(self.answer_counts))
+
+        lengths = np.array([len(q.easy) + len(q.hard) for q in instances], dtype=np.int64)
+        known = np.fromiter(chain.from_iterable(chain(q.easy, q.hard) for q in instances),
+                            np.int64, count=int(lengths.sum()))
+        outside = np.flatnonzero((known < 0) | (known >= n_entities))
+        if outside.size:
+            q = instances[int(np.searchsorted(np.cumsum(lengths), outside[0], "right"))]
+            raise ValueError(f"answer id {known[outside[0]]} out of range for {n_entities} "
+                             f"entities in {_describe(q)}")
+        self.shift = np.arange(len(instances), dtype=np.int64) * n_entities
+        known = _distinct(np.repeat(self.shift, lengths) + known)
+        starts = np.searchsorted(known, self.shift)
+        #: Non-answer count per instance, as Python ints for the draw loop.
+        self.sizes = (n_entities - np.diff(starts, append=known.size)).tolist()
+        if 0 in self.sizes:
+            q = instances[self.sizes.index(0)]
+            raise ValueError(f"every entity answers {_describe(q)}; no negatives exist")
+        self.keys = known - np.arange(known.size)
+        #: Count of non-answers of the instances before each one.
+        self.rank_offsets = self.shift - starts
+
+    def draw(self, rng: np.random.Generator, b: int, n: int):
+        """Anchors, relations, positives and negatives of a b-instance batch.
+
+        The rng calls come in the per-instance order: the batch rows, then
+        per row its positive's index among its answers and its negatives'
+        ``rng.choice``, which draws the same ranks as ``sample_negatives``.
+        """
+        rows = rng.integers(len(self.answer_counts), size=b)
+        ranks = np.empty(b, dtype=np.int64)
+        picks = np.empty((b, n), dtype=np.int64)
+        integers, choice = rng.integers, rng.choice
+        counts, sizes = self.answer_counts, self.sizes
+        for i, j in enumerate(rows.tolist()):
+            ranks[i] = integers(counts[j])
+            size = sizes[j]
+            picks[i] = choice(size, size=n, replace=size < n)
+        positives = self.answers[self.answer_starts[rows] + ranks]
+        picks += self.rank_offsets[rows, None]
+        negatives = _complement_ids(self.keys, picks) - self.shift[rows, None]
+        return self.anchors[rows], self.relations[rows], positives, negatives
 
 
 # ---------------------------------------------------------------------------
@@ -185,17 +270,37 @@ def _zero_moments(store: ParameterStore) -> dict[str, np.ndarray]:
 def adam_step(store: ParameterStore, grads: dict[str, np.ndarray],
               m: dict[str, np.ndarray], v: dict[str, np.ndarray], t: int,
               lr: float) -> None:
-    """One in-place Adam update; ``t`` is the 1-based step count."""
+    """One in-place Adam update; ``t`` is the 1-based step count.
+
+    ``m`` and ``v`` are updated in place, so they keep their array objects.
+    Each line below runs its formula's operations in the formula's order,
+    so the floats are those of the formula.  Its two scratch buffers are
+    sized to the largest parameter and shared by all, so an update allocates
+    two arrays however many parameters there are.
+    """
     if t < 1:
         raise ValueError("Adam step count is 1-based")
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     bias1 = 1.0 - beta1 ** t
     bias2 = 1.0 - beta2 ** t
-    for name in store.trainable_names():
-        g = grads[name]
-        m[name] = beta1 * m[name] + (1.0 - beta1) * g
-        v[name] = beta2 * v[name] + (1.0 - beta2) * g * g
-        store.arrays[name] -= lr * (m[name] / bias1) / (np.sqrt(v[name] / bias2) + eps)
+    names = store.trainable_names()
+    size = max(store.arrays[name].size for name in names)
+    scratch_a, scratch_b = np.empty(size), np.empty(size)
+    for name in names:
+        g, m_, v_ = grads[name], m[name], v[name]
+        a = scratch_a[:g.size].reshape(g.shape)
+        b = scratch_b[:g.size].reshape(g.shape)
+        # m = beta1 * m + (1 - beta1) * g
+        np.multiply(m_, beta1, out=m_)
+        np.add(m_, np.multiply(g, 1.0 - beta1, out=a), out=m_)
+        # v = beta2 * v + (1 - beta2) * g * g
+        np.multiply(np.multiply(g, 1.0 - beta2, out=a), g, out=a)
+        np.multiply(v_, beta2, out=v_)
+        np.add(v_, a, out=v_)
+        # param -= lr * (m / bias1) / (sqrt(v / bias2) + eps)
+        np.multiply(np.divide(m_, bias1, out=a), lr, out=a)
+        np.add(np.sqrt(np.divide(v_, bias2, out=b), out=b), eps, out=b)
+        np.subtract(store.arrays[name], np.divide(a, b, out=a), out=store.arrays[name])
 
 
 @dataclass
@@ -332,6 +437,7 @@ def train(instances, n_entities: int, n_relations: int, cfg: TrainingConfig, *,
     for q in usable:
         groups.setdefault(q.structure, []).append(q)
     tags = sorted(groups)
+    pools = {tag: _StructurePool(groups[tag], n_entities) for tag in tags}
 
     if state is None:
         state = init_state(cfg, n_entities, n_relations,
@@ -346,17 +452,7 @@ def train(instances, n_entities: int, n_relations: int, cfg: TrainingConfig, *,
 
     while state.step < cfg.steps:
         tag = tags[int(rng.integers(len(tags)))]
-        pool = groups[tag]
-        batch = [pool[int(i)] for i in rng.integers(len(pool), size=cfg.b)]
-        anchors = np.array([q.anchors for q in batch], dtype=np.int64)
-        rels = np.array([q.relations for q in batch], dtype=np.int64)
-        positives = np.empty(len(batch), dtype=np.int64)
-        negatives = np.empty((len(batch), cfg.n), dtype=np.int64)
-        for i, q in enumerate(batch):
-            answers = q.easy if q.easy else q.hard
-            positives[i] = answers[int(rng.integers(len(answers)))]
-            negatives[i] = sample_negatives(q, cfg.n, rng, n_entities)
-
+        anchors, rels, positives, negatives = pools[tag].draw(rng, cfg.b, cfg.n)
         loss, grads = batch_loss_and_grads(state.store, tag, anchors, rels, positives,
                                            negatives, lam=cfg.lam, threads=cfg.threads)
         if not math.isfinite(loss):

@@ -494,11 +494,29 @@ MALFORMED_QUERY_FILES = {
 }
 
 
-def write_malformed_query_file(path, case) -> str:
-    """Write one MALFORMED_QUERY_FILES case; return the reader's message prefix."""
-    lines, message = MALFORMED_QUERY_FILES[case]
+#: Id maps whose last line ``read_id_map`` must reject, each with the start
+#: of its message after "path:line: ".  A repeated id would otherwise drop the
+#: first name silently.
+MALFORMED_ID_MAPS = {
+    "no_tab": (["0\ta", "1 b"], "expected id<TAB>name"),
+    "string_id": (["0\ta", "x\tb"], "id 'x' is not an integer"),
+    "repeated_id": (["0\ta", "1\tb", "1\tc"], "repeats id 1"),
+}
+
+
+def _write_malformed(path, lines, message) -> str:
     path.write_text("\n".join(lines) + "\n")
     return f"{path}:{len(lines)}: {message}"
+
+
+def write_malformed_query_file(path, case) -> str:
+    """Write one MALFORMED_QUERY_FILES case; return the reader's message prefix."""
+    return _write_malformed(path, *MALFORMED_QUERY_FILES[case])
+
+
+def write_malformed_id_map(path, case) -> str:
+    """Write one MALFORMED_ID_MAPS case; return the reader's message prefix."""
+    return _write_malformed(path, *MALFORMED_ID_MAPS[case])
 
 
 # ---------------------------------------------------------------------------
@@ -518,3 +536,55 @@ def reference_structure_rollup(results) -> StructureMetrics:
         hits3=per_query(lambda res: np.mean([r <= 3 for r in res.ranks])),
         hits10=per_query(lambda res: np.mean([r <= 10 for r in res.ranks])),
     )
+
+
+# ---------------------------------------------------------------------------
+# the training-step front end as first written
+# ---------------------------------------------------------------------------
+
+def reference_wrap_angle(t):
+    """The angle wrap by float ``%``, for Python floats and arrays alike."""
+    w = (t + PI) % TWO_PI - PI
+    if isinstance(w, float):
+        return w - TWO_PI if w >= PI else w
+    return np.where(w >= PI, w - TWO_PI, w)
+
+
+def reference_negatives(instance, k, rng, n_entities):
+    """``sample_negatives`` by ``rng.choice`` over the complement array, which
+    np.unique and np.setdiff1d build."""
+    known = np.unique(np.array(instance.easy + instance.hard, dtype=np.int64))
+    complement = np.setdiff1d(np.arange(n_entities, dtype=np.int64), known,
+                              assume_unique=True)
+    if complement.size == 0:
+        raise ValueError("every entity answers this query; no negatives exist")
+    return rng.choice(complement, size=k, replace=complement.size < k)
+
+
+def reference_assemble_batch(groups, tags, rng, cfg, n_entities):
+    """One ``train()`` batch, instance by instance: the structure, the batch
+    rows, then per row its positive and its negatives, in that rng order."""
+    tag = tags[int(rng.integers(len(tags)))]
+    pool = groups[tag]
+    batch = [pool[int(i)] for i in rng.integers(len(pool), size=cfg.b)]
+    anchors = np.array([q.anchors for q in batch], dtype=np.int64)
+    rels = np.array([q.relations for q in batch], dtype=np.int64)
+    positives = np.empty(len(batch), dtype=np.int64)
+    negatives = np.empty((len(batch), cfg.n), dtype=np.int64)
+    for i, q in enumerate(batch):
+        answers = q.easy if q.easy else q.hard
+        positives[i] = answers[int(rng.integers(len(answers)))]
+        negatives[i] = reference_negatives(q, cfg.n, rng, n_entities)
+    return tag, anchors, rels, positives, negatives
+
+
+def reference_adam_step(store, grads, m, v, t, lr):
+    """Adam with fresh arrays per operation; rebinds ``m`` and ``v``'s entries."""
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    bias1 = 1.0 - beta1 ** t
+    bias2 = 1.0 - beta2 ** t
+    for name in store.trainable_names():
+        g = grads[name]
+        m[name] = beta1 * m[name] + (1.0 - beta1) * g
+        v[name] = beta2 * v[name] + (1.0 - beta2) * g * g
+        store.arrays[name] -= lr * (m[name] / bias1) / (np.sqrt(v[name] / bias2) + eps)

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -16,7 +17,12 @@ from conequery.patterns import read_labels_tsv
 from conequery.queries import read_id_map, read_queries_jsonl
 from conequery.training import load_checkpoint
 
-from _helpers import MALFORMED_QUERY_FILES, write_malformed_query_file
+from _helpers import (
+    MALFORMED_ID_MAPS,
+    MALFORMED_QUERY_FILES,
+    write_malformed_id_map,
+    write_malformed_query_file,
+)
 
 TRAIN_FLAGS = ["--profile", "toy", "--lr", "0.03", "--gamma", "20",
                "--lam", "0.02", "--steps", "25", "--seed", "0"]
@@ -187,6 +193,17 @@ class TestTrainEval:
         main(args + ["--threads", "4"])
         assert capsys.readouterr().out == serial
 
+    @pytest.mark.parametrize("case", sorted(MALFORMED_ID_MAPS))
+    @pytest.mark.parametrize("name", ["entities.tsv", "relations.tsv"])
+    def test_train_rejects_malformed_id_maps(self, data_dir, tmp_path, caplog, name, case):
+        data = tmp_path / "data"
+        shutil.copytree(data_dir, data)
+        message = write_malformed_id_map(data / name, case)
+        rc = main(["train", "--data", str(data), "--out", str(tmp_path / "run")] + TRAIN_FLAGS)
+        assert rc == 1
+        assert any(r.getMessage().startswith(message) for r in caplog.records)
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("case", sorted(MALFORMED_QUERY_FILES))
     def test_eval_rejects_records_that_miss_their_slots(self, run_dir, tmp_path,
                                                         caplog, case):
@@ -229,6 +246,15 @@ class TestPatternAndAxiomCommands:
         sidecar = labels_file.with_name(labels_file.name + ".manifest.json")
         manifest = json.loads(sidecar.read_text())
         assert manifest["command"] == "mine-patterns"
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_ID_MAPS))
+    def test_mine_rejects_malformed_relation_map(self, data_dir, tmp_path, caplog, case):
+        path = tmp_path / "relations.tsv"
+        message = write_malformed_id_map(path, case)
+        rc = main(["mine-patterns", "--triples", str(data_dir / "train_triples.tsv"),
+                   "--relation-map", str(path), "--out", str(tmp_path / "labels.tsv")])
+        assert rc == 1
+        assert any(r.getMessage().startswith(message) for r in caplog.records)
 
     def test_extract_axioms_round_trip(self, run_dir, labels_file, tmp_path, capsys):
         out = tmp_path / "onto.txt"

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conequery import autodiff as ad
 from conequery.cones import (
@@ -43,6 +45,7 @@ from _helpers import (
     random_multicone,
     random_proper_cone,
     random_same_family_rotation,
+    reference_wrap_angle,
     region_equal_by_sampling,
 )
 
@@ -98,18 +101,6 @@ def test_wrap_angle_range():
         assert angle_dist(w, t) < 1e-9
 
 
-def _reference_wrap_float(t):
-    w = (t + PI) % TWO_PI - PI
-    if w >= PI:
-        w -= TWO_PI
-    return w
-
-
-def _reference_wrap_array(x):
-    out = (x + math.pi) % TWO_PI - math.pi
-    return np.where(out >= math.pi, out - TWO_PI, out)
-
-
 def _reference_turn_distance(x):
     return np.abs(x - np.round(x / TWO_PI) * TWO_PI)
 
@@ -125,16 +116,59 @@ def test_wrap_angle_bit_identical_to_reference_on_floats_and_arrays():
     values = _angles_with_seams()
     floats = [wrap_angle(float(t)) for t in values]
     assert all(isinstance(w, float) for w in floats)
-    want = [_reference_wrap_float(float(t)) for t in values]
+    want = [reference_wrap_angle(float(t)) for t in values]
     assert np.array(floats).tobytes() == np.array(want).tobytes()
 
     got = wrap_angle(values)
-    assert got.tobytes() == _reference_wrap_array(values).tobytes()
+    assert got.tobytes() == reference_wrap_angle(values).tobytes()
     assert got.tobytes() == np.array(want).tobytes()
     assert np.all((got >= -PI) & (got < PI))
     assert np.array_equal(wrap_angle(values.reshape(-1, 2)), got.reshape(-1, 2))
     assert np.array_equal(ad.wrap(values), got)
     assert np.array_equal(ad.wrap(ad.Tape().leaf(values)).values, got)
+
+
+def _near(x, steps=3):
+    """x and its nearest float64 neighbours on either side."""
+    out = [x]
+    for direction in (-np.inf, np.inf):
+        y = x
+        for _ in range(steps):
+            y = float(np.nextafter(y, direction))
+            out.append(y)
+    return out
+
+
+# t = -3pi and 3pi are the band edges s = t + pi = -2pi and 4pi; t = -pi and
+# pi are the seams where one turn is added or taken away.
+_WRAP_EDGES = [v for x in (-3 * PI, -PI, PI, 3 * PI, -TWO_PI, TWO_PI) for v in _near(x)]
+_IN_BAND = st.one_of(st.floats(-3 * PI, 3 * PI), st.sampled_from(_WRAP_EDGES))
+_ANY = st.one_of(st.floats(), st.floats(-4 * PI, 4 * PI), st.sampled_from(
+    _WRAP_EDGES + [0.0, -0.0, math.nan, math.inf, -math.inf, 1e300, -1e300]))
+
+
+def _same_wrap(x):
+    got, want = wrap_angle(x), reference_wrap_angle(x)
+    assert type(got) is type(want)
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(band=st.lists(_IN_BAND, max_size=40), extra=st.lists(_ANY, max_size=4))
+def test_wrap_angle_equals_float_modulo_bit_for_bit(band, extra):
+    with np.errstate(all="ignore"):
+        for values in (band, band + extra):
+            x = np.array(values, dtype=np.float64)
+            for arr in (x, x.astype(np.float32), x.reshape(-1, 1)):
+                _same_wrap(arr)
+            for v in values[:8]:
+                _same_wrap(v)
+                _same_wrap(np.array(v))
+                _same_wrap(np.array(v, dtype=np.float32))
+        _same_wrap(np.array([], dtype=np.float64))
+        _same_wrap(np.zeros((0, 3), dtype=np.float32))
 
 
 def test_turn_distance_bit_identical_to_reference_on_floats_and_arrays():

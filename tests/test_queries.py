@@ -37,11 +37,13 @@ from conequery.queries import (
 )
 
 from _helpers import (
+    MALFORMED_ID_MAPS,
     MALFORMED_QUERY_FILES,
     complement_answers,
     naive_answers,
     random_kg,
     recursive_walk,
+    write_malformed_id_map,
     write_malformed_query_file,
 )
 
@@ -515,3 +517,12 @@ def test_id_map_round_trip(tmp_path):
     path.write_text("0\ta\n2\tc\n")
     with pytest.raises(ValueError):
         read_id_map(path)
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_ID_MAPS))
+def test_id_map_rejects_malformed_lines(tmp_path, case):
+    path = tmp_path / "entities.dict"
+    message = write_malformed_id_map(path, case)
+    with pytest.raises(ValueError) as info:
+        read_id_map(path)
+    assert str(info.value).startswith(message)

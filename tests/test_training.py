@@ -11,6 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conequery import training
 from conequery.model import ParameterStore
 from conequery.planted import build_planted_kg
 from conequery.queries import (
@@ -37,6 +38,12 @@ from conequery.training import (
     save_checkpoint,
     seed_spread,
     train,
+)
+
+from _helpers import (
+    reference_adam_step,
+    reference_assemble_batch,
+    reference_negatives,
 )
 
 TOY = dict(d=8, b=8, n=4, gamma=6.0, lr=5e-3, lam=0.02)
@@ -151,16 +158,6 @@ def test_negatives_errors():
             sample_negatives(_instance(easy=bad), 2, rng, 10)
 
 
-def _setdiff1d_negatives(instance, k, rng, n_entities):
-    """Reference: the complement built with np.unique and np.setdiff1d."""
-    known = np.unique(np.array(instance.easy + instance.hard, dtype=np.int64))
-    complement = np.setdiff1d(np.arange(n_entities, dtype=np.int64), known,
-                              assume_unique=True)
-    if complement.size == 0:
-        raise ValueError("every entity answers this query; no negatives exist")
-    return rng.choice(complement, size=k, replace=complement.size < k)
-
-
 def test_negatives_match_setdiff1d_reference_draw_for_draw():
     picker = np.random.default_rng(5)
     cases = [(_instance(easy=(1, 1, 2), hard=(2, 3, 3)), 4, 10),  # duplicate ids
@@ -175,11 +172,11 @@ def test_negatives_match_setdiff1d_reference_draw_for_draw():
     for seed, (q, k, n) in enumerate(cases):
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         got = sample_negatives(q, k, rng, n)
-        want = _setdiff1d_negatives(q, k, ref_rng, n)
+        want = reference_negatives(q, k, ref_rng, n)
         assert got.dtype == want.dtype and np.array_equal(got, want)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
     everyone = _instance(easy=(0, 1), hard=(2, 1))
-    for sampler in (sample_negatives, _setdiff1d_negatives):
+    for sampler in (sample_negatives, reference_negatives):
         with pytest.raises(ValueError, match="every entity"):
             sampler(everyone, 1, np.random.default_rng(0), 3)
 
@@ -207,6 +204,33 @@ def test_adam_requires_positive_step_count():
     zeros = {n: np.zeros_like(store.arrays[n]) for n in store.trainable_names()}
     with pytest.raises(ValueError):
         adam_step(store, zeros, dict(zeros), dict(zeros), 0, lr=0.1)
+
+
+def test_adam_step_in_place_matches_reference(tmp_path):
+    cfg = TrainingConfig(**dict(TOY, seed=0))
+    state, ref = init_state(cfg, 30, 4), init_state(cfg, 30, 4)
+    moments = {n: (state.adam_m[n], state.adam_v[n]) for n in state.adam_m}
+    rng = np.random.default_rng(9)
+    for t in range(1, 6):
+        grads = {n: rng.normal(scale=10.0 ** rng.integers(-6, 3), size=a.shape)
+                 for n, a in state.adam_m.items()}
+        grads["entity_axis"][:5] = 0.0
+        kept = {n: g.copy() for n, g in grads.items()}
+        adam_step(state.store, grads, state.adam_m, state.adam_v, t, lr=0.05)
+        reference_adam_step(ref.store, grads, ref.adam_m, ref.adam_v, t, lr=0.05)
+        for name in state.store.arrays:
+            assert np.array_equal(state.store.arrays[name], ref.store.arrays[name]), name
+        for name, (m, v) in moments.items():
+            assert state.adam_m[name] is m and state.adam_v[name] is v
+            assert np.array_equal(m, ref.adam_m[name]) and np.array_equal(v, ref.adam_v[name])
+            assert np.array_equal(grads[name], kept[name])
+    state.step = 5
+    path = str(tmp_path / "adam.ckpt")
+    save_checkpoint(path, state)
+    loaded = load_checkpoint(path)
+    for name in state.adam_m:
+        assert np.array_equal(loaded.adam_m[name], ref.adam_m[name])
+        assert np.array_equal(loaded.adam_v[name], ref.adam_v[name])
 
 
 # ---------------------------------------------------------------------------
@@ -355,6 +379,119 @@ def test_train_rejects_empty():
     no_answers = [QueryInstance("1p", (0,), (0,), (), ())]
     with pytest.raises(ValueError):
         train(no_answers, 10, 2, cfg)
+
+
+_BAD_ANSWER_SETS = [
+    pytest.param(QueryInstance("1p", (0,), (1,), (3, 40), ()), "answer id 40 out of range",
+                 id="above_range"),
+    pytest.param(QueryInstance("1p", (0,), (1,), (), (-1,)), "answer id -1 out of range",
+                 id="negative"),
+    pytest.param(QueryInstance("1p", (0,), (1,), tuple(range(30)), tuple(range(20, 40))),
+                 "every entity answers", id="every_entity"),
+]
+
+
+@pytest.mark.parametrize("bad, message", _BAD_ANSWER_SETS)
+def test_train_rejects_bad_answer_sets_before_any_step(monkeypatch, bad, message):
+    # The bad instance is one of 401, so the single step would most likely
+    # not draw it: only a check made up front can raise.
+    good = [QueryInstance("1p", (i % 40,), (i % 3,), (i % 37 + 1,), ()) for i in range(400)]
+    calls = []
+    monkeypatch.setattr(training, "batch_loss_and_grads",
+                        lambda *args, **kwargs: calls.append(args))
+    cfg = _loop_cfg(steps=1)
+    state = init_state(cfg, 40, 3)
+    with pytest.raises(ValueError, match=message):
+        train(good + [bad], 40, 3, cfg, state=state)
+    assert not calls and state.step == 0
+
+
+def _short_complement_instances():
+    # 12 entities and n = 4: complements of 1 to 3 entities draw with
+    # replacement, the rest without.
+    rng = np.random.default_rng(2)
+    out = []
+    for i in range(30):
+        known = rng.permutation(12)[:int(rng.integers(1, 12))]
+        cut = int(rng.integers(len(known) + 1))
+        out.append(QueryInstance("1p", (i % 12,), (i % 2,), tuple(known[:cut].tolist()),
+                                 tuple(known[cut:].tolist())))
+    return out, 12, 2
+
+
+def _repeated_id_instances():
+    # ids repeat inside easy, inside hard and across the two; some
+    # instances have only hard answers.
+    rng = np.random.default_rng(3)
+    out = []
+    for i in range(40):
+        ids = rng.integers(0, 25, size=int(rng.integers(2, 12))).tolist()
+        easy = ids[:len(ids) // 2] if i % 3 else []
+        out.append(QueryInstance("1p", (i % 25,), (i % 3,), tuple(easy), tuple(ids)))
+    return out, 25, 3
+
+
+def _wide_instances():
+    # More than 10000 entities: numpy's choice takes Floyd's algorithm for
+    # n <= |E| / 50 and a tail shuffle above that.
+    rng = np.random.default_rng(4)
+    n_entities = 12_000
+    out = [QueryInstance("1p", (i,), (i % 2,),
+                         tuple(rng.integers(0, n_entities, size=int(rng.integers(1, 40))).tolist()),
+                         ()) for i in range(50)]
+    return out, n_entities, 2
+
+
+def _mixed_instances():
+    kg = build_planted_kg(seed=3)
+    bundle = generate_dataset(kg.train, kg.valid, kg.test, kg.n_entities, kg.n_relations,
+                              counts={"1p": 20, "2p": 10, "2i": 10, "2in": 10, "pin": 10},
+                              seed=0)
+    return bundle.train, kg.n_entities, kg.n_relations
+
+
+@pytest.mark.parametrize("case, n", [("one_hop", 4), ("mixed", 6), ("short_complement", 4),
+                                     ("repeated_ids", 5), ("wide", 16), ("wide", 300)])
+def test_train_draws_match_instance_by_instance_assembly(tiny_dataset, monkeypatch, case, n):
+    if case == "one_hop":
+        instances, kg = tiny_dataset
+        n_entities, n_relations = kg.n_entities, kg.n_relations
+    else:
+        instances, n_entities, n_relations = {
+            "mixed": _mixed_instances, "short_complement": _short_complement_instances,
+            "repeated_ids": _repeated_id_instances, "wide": _wide_instances}[case]()
+    cfg = _loop_cfg(d=4, b=8, n=n, steps=6)
+    seen = []
+    real = training.batch_loss_and_grads
+
+    def record(store, tag, *arrays, **kwargs):
+        seen.append((tag, *(np.array(a) for a in arrays)))
+        return real(store, tag, *arrays, **kwargs)
+
+    monkeypatch.setattr(training, "batch_loss_and_grads", record)
+    state, _ = train(instances, n_entities, n_relations, cfg)
+
+    groups = {}
+    for q in instances:
+        if q.easy or q.hard:
+            groups.setdefault(q.structure, []).append(q)
+    tags = sorted(groups)
+    ref = init_state(cfg, n_entities, n_relations)
+    while ref.step < cfg.steps:
+        tag, *arrays = reference_assemble_batch(groups, tags, ref.rng, cfg, n_entities)
+        assert seen[ref.step][0] == tag
+        for got, want in zip(seen[ref.step][1:], arrays):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        _, grads = real(ref.store, tag, *arrays, lam=cfg.lam)
+        ref.step += 1
+        reference_adam_step(ref.store, grads, ref.adam_m, ref.adam_v, ref.step, cfg.lr)
+    assert len(seen) == cfg.steps
+    assert state.rng.bit_generator.state == ref.rng.bit_generator.state
+    for name in state.store.arrays:
+        assert np.array_equal(state.store.arrays[name], ref.store.arrays[name]), name
+    for name in state.adam_m:
+        assert np.array_equal(state.adam_m[name], ref.adam_m[name]), name
+        assert np.array_equal(state.adam_v[name], ref.adam_v[name]), name
 
 
 # ---------------------------------------------------------------------------
