@@ -26,7 +26,13 @@ Subgradient conventions (fixed, documented):
 
 Gather's gradient scatter-adds each gathered row into its table row in the
 flattened order of the indices, the order ``np.add.at`` uses, so gradients of
-repeated ids sum in a fixed order.
+repeated ids sum in a fixed order.  ``scatter_rows`` is that scatter.  The
+entity points of ``model.entity_points`` are no gathered tensor: the
+distance's fused VJP sums the entity gradients of a DNF's disjuncts (the last
+disjunct's first) and scatters that sum into the entity table itself with
+``scatter_rows``, in the flattened order of the entity ids.  So the table
+gradient is what a gather of the wrapped rows would give, bit for bit, and
+per call it arrives when the backward pass reaches that distance op.
 
 A fused op (``fused``) records one tape node for a whole formula over several
 inputs; its hand-written VJP returns every input's gradient in one call and
@@ -378,18 +384,21 @@ def reshape(x, shape):
     return _result(xv.reshape(shape), (x,), (lambda g: g.reshape(xv.shape),))
 
 
+def scatter_rows(rows: np.ndarray, idx, shape: tuple) -> np.ndarray:
+    """A zero 2-D table of ``shape`` with each of ``rows`` (shaped
+    ``idx.shape + (width,)``) added into its table row ``idx``, in the
+    flattened order of ``idx`` (see the module docstring)."""
+    width = shape[-1]
+    flat = (np.asarray(idx, dtype=np.int64).reshape(-1, 1) * width + np.arange(width)).reshape(-1)
+    return np.bincount(flat, weights=rows.reshape(-1), minlength=shape[0] * width).reshape(shape)
+
+
 def gather(table, idx):
     """Rows of a 2-D table by integer index; gradients scatter-add back, in
     index order (see the module docstring), with 0 for rows never gathered."""
     tv = values_of(table)
     idx = np.asarray(idx)
-
-    def pull(g):
-        width = tv.shape[-1]
-        flat = (idx.reshape(-1, 1).astype(np.int64) * width + np.arange(width)).reshape(-1)
-        return np.bincount(flat, weights=g.reshape(-1), minlength=tv.size).reshape(tv.shape)
-
-    return _result(tv[idx], (table,), (pull,))
+    return _result(tv[idx], (table,), (lambda g: scatter_rows(g, idx, tv.shape),))
 
 
 # ---------------------------------------------------------------------------

@@ -171,16 +171,24 @@ def _validate_vocabulary(store: ParameterStore, instances) -> None:
             )
 
 
-def _rescore(m, disjuncts, rows, ids, lam: float) -> np.ndarray:
-    """Float64 distances from chunk query ``rows[k]`` (rows of the (chunk,
-    d) ``disjuncts``) to entity ``ids[k]``, in one paired
-    ``dnf_entity_distance`` call."""
-    cones = [ConeBatch(c.axis[rows], c.aperture[rows]) for c in disjuncts]
-    return dnf_entity_distance(cones, entity_points(m, ids), lam)
-
-
 #: Most (answer, entity) comparisons made at once: 16 MB of float32 rows.
 _COMPARE_BLOCK = 1 << 22
+
+#: Most bytes in one (pairs, d) float64 array of a float64 rescore call.
+_RESCORE_BYTES = 1 << 20
+
+
+def _rescore(m, disjuncts, rows, ids, lam: float) -> np.ndarray:
+    """Float64 distances from chunk query ``rows[k]`` (rows of the (chunk,
+    d) ``disjuncts``) to entity ``ids[k]``, by paired ``dnf_entity_distance``
+    calls over blocks of at most ``_RESCORE_BYTES`` per (pairs, d) array."""
+    step = max(1, _RESCORE_BYTES // (8 * m.d))
+    out = np.empty(len(ids))
+    for lo in range(0, len(ids), step):
+        span = slice(lo, lo + step)
+        cones = [ConeBatch(c.axis[rows[span]], c.aperture[rows[span]]) for c in disjuncts]
+        out[span] = dnf_entity_distance(cones, entity_points(m, ids[span]), lam)
+    return out
 
 
 def _settled_ranks(m, disjuncts, chunk, table, lam: float, bound) -> list[RankedResult]:
@@ -228,7 +236,8 @@ def evaluate_instances(store: ParameterStore, instances, *, lam: float,
 
     Queries are independent, so chunks may be scored in parallel threads
     against the immutable parameter snapshot; the reduction is per-query,
-    which keeps the report deterministic for any thread count.
+    which keeps the report deterministic for any thread count.  ``threads``
+    is a cap: no more threads than chunks, and no pool for one chunk.
 
     The ranks are ``rank_instance``'s over the float64 ``dnf_entity_distance``
     table, exactly, though that table is never built.  Each chunk gets a
@@ -238,8 +247,9 @@ def evaluate_instances(store: ParameterStore, instances, *, lam: float,
     - 2 c0) / (1 + c1) has D64 <= a - c0 - c1 a <= the answer's D64, so it
     counts; one with D32 > hi = (a (1 + c1) + 2 c0) / (1 - c1) has D64 above
     the answer's, so it does not.  The answer and the entities between lo and
-    hi are rescored in float64 by one paired ``dnf_entity_distance`` call
-    per chunk, and the pessimistic ``<=`` rule is applied to those values.
+    hi are rescored in float64 by paired ``dnf_entity_distance`` calls over
+    blocks of a fixed byte budget (``_RESCORE_BYTES``), and the pessimistic
+    ``<=`` rule is applied to those values.
     They equal the full table's entries bit for bit, because the kernel's
     arithmetic per (query, entity) entry does not depend on the other rows.
     """
@@ -271,8 +281,9 @@ def evaluate_instances(store: ParameterStore, instances, *, lam: float,
         for tag in ALL_STRUCTURES if tag in by_tag
         for lo in range(0, len(by_tag[tag]), chunk_size)
     ]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    workers = min(threads, len(jobs))
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             chunk_results = list(pool.map(lambda job: score_chunk(*job), jobs))
     else:
         chunk_results = [score_chunk(*job) for job in jobs]

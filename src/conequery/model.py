@@ -29,7 +29,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .cones import PI, TWO_PI
+from .cones import PI, TWO_PI, wrap_angle
 from .queries import (
     STRUCTURE_TEMPLATES,
     Intersection,
@@ -197,14 +197,17 @@ class ParameterStore:
 
 
 class EntityPoints(NamedTuple):
-    """Entity angles with their unit-circle coordinates.
+    """Unit-circle points: ``cos`` and ``sin`` arrays of shape (..., d), and
+    where the distance sends their gradient.
 
-    ``angles`` is an array or tape tensor of shape (..., d); ``cos`` and
-    ``sin`` are plain arrays of the same shape.  The distance reads the
-    coordinates and differentiates through ``angles`` alone.
+    ``table`` is an array or tape tensor of angles.  With ``ids``, the points
+    are its rows ``ids`` (wrapped, see ``entity_points``) and their gradient
+    is scatter-added into it; with ``ids`` None, ``table`` holds the (..., d)
+    angles themselves.
     """
 
-    angles: object
+    table: object
+    ids: np.ndarray | None
     cos: np.ndarray
     sin: np.ndarray
 
@@ -214,7 +217,7 @@ def _as_points(entity) -> EntityPoints:
     if isinstance(entity, EntityPoints):
         return entity
     values = ad.values_of(entity)
-    return EntityPoints(entity, np.cos(values), np.sin(values))
+    return EntityPoints(entity, None, np.cos(values), np.sin(values))
 
 
 def _checked_ids(table, ids, kind: str) -> np.ndarray:
@@ -225,18 +228,32 @@ def _checked_ids(table, ids, kind: str) -> np.ndarray:
     return ids
 
 
-def entity_points(m: ModelParams, entity_ids) -> EntityPoints:
-    """Unit-circle points for entity ids: wrapped angles plus cos and sin.
+def _entity_points(m: ModelParams, *id_arrays) -> list[EntityPoints]:
+    """``entity_points`` of each id array, wrapping and taking the cos and
+    sin of each distinct row among all of them once."""
+    table = ad.values_of(m.entity_axis)
+    ids = [_checked_ids(m.entity_axis, x, "entity") for x in id_arrays]
+    seen = np.zeros(table.shape[0], dtype=bool)
+    for x in ids:
+        seen[x] = True
+    rows = np.flatnonzero(seen)
+    slot = np.empty(table.shape[0], dtype=np.int64)  # table row -> index in rows
+    slot[rows] = np.arange(rows.size)
 
-    Wrapping and trig are elementwise, so they run on whichever is smaller:
-    the gathered rows, or the whole table when there are more ids than table
-    rows.  Both orders give the same values and the same gradients.
-    """
-    ids = _checked_ids(m.entity_axis, entity_ids, "entity")
-    if ids.size <= ad.values_of(m.entity_axis).shape[0]:
-        return _as_points(ad.wrap(ad.gather(m.entity_axis, ids)))
-    table = _as_points(ad.wrap(m.entity_axis))
-    return EntityPoints(ad.gather(table.angles, ids), table.cos[ids], table.sin[ids])
+    def per_id(values):  # one coordinate of the distinct rows, indexed per id array
+        return [np.take(values, slot[x], axis=0) for x in ids]
+
+    angles = wrap_angle(table[rows])  # a fresh array, so its sin may overwrite it
+    cos = per_id(np.cos(angles))
+    sin = per_id(np.sin(angles, out=angles))
+    return [EntityPoints(m.entity_axis, x, c, s) for x, c, s in zip(ids, cos, sin)]
+
+
+def entity_points(m: ModelParams, entity_ids) -> EntityPoints:
+    """Unit-circle points for entity ids: the cos and sin of their wrapped
+    angles, taken once per distinct id.  No gathered angle array is built;
+    the distance scatter-adds the points' gradient into ``m.entity_axis``."""
+    return _entity_points(m, entity_ids)[0]
 
 
 def nominal_cone(m: ModelParams, entity_ids) -> ConeBatch:
@@ -494,34 +511,14 @@ def _tiled_distance(trig, ce, se, lam, take=None):
     return out
 
 
-def cone_entity_distance(cone: ConeBatch, entity, lam: float):
-    """Combined outside+inside distance between cones and entity points.
-
-    outside = min(L1 to the upper boundary, L1 to the lower boundary);
-    inside  = min(L1 to the axis, L1 between upper boundary and axis);
-    combined = outside + lam * inside, where L1 is the distance between
-    unit-circle points summed over all 2d real coordinates.  Shapes
-    broadcast; the trailing axis is reduced.
-
-    ``entity`` is ``EntityPoints`` (see ``entity_points``), whose cos/sin
-    are used as given, or bare angles, whose cos/sin are computed here.
-    One fused autodiff op (see ``autodiff.fused`` for its subgradient
-    conventions): the entity rows (the second-to-last axis of the broadcast)
-    are processed in tiles of at most ``_TILE_BYTES`` per temporary.  The
-    VJP takes one sign per coordinate of the boundary the outside min chose
-    and one of the axis, in tile buffers reused per thread; where one cone
-    row serves every entity row, a matmul sums the cone's share over the
-    rows.  Tape inputs and plain arrays take the same path.
-    """
-    lam = float(lam)
-    entity = _as_points(entity)
-    inputs = (cone.axis, cone.aperture, entity.angles)
-    axis, aperture, ent = (ad.values_of(x) for x in inputs)
-    need_ent = isinstance(entity.angles, ad.Tensor)
-    taped = any(isinstance(x, ad.Tensor) for x in inputs)
-
-    trig = _cone_trig(axis, aperture)
-    shape = np.broadcast_shapes(trig[0].shape, ent.shape)
+def _cone_distance(trig, axis_shape, aperture_shape, cos, sin, lam: float,
+                   taped: bool, need_ent: bool):
+    """One cone's distances to the entity points ``cos``/``sin`` (the cone
+    given by its ``_cone_trig`` and the shapes of its axis and aperture) and,
+    when ``taped``, the VJP that maps their gradient to the axis, aperture and
+    (when ``need_ent``) entity-angle gradients, the last shaped like ``cos``;
+    else None in place of the VJP."""
+    shape = np.broadcast_shapes(trig[0].shape, cos.shape)
     nd = max(len(shape), 2)
 
     def pad(x):
@@ -529,13 +526,15 @@ def cone_entity_distance(cone: ConeBatch, entity, lam: float):
 
     full = (1,) * (nd - len(shape)) + shape
     cu, su, cl, sl, ca, sa = trig = [pad(x) for x in trig]
-    ce, se = (pad(np.asarray(x, dtype=np.float64)) for x in (entity.cos, entity.sin))
+    ce, se = pad(cos), pad(sin)
     cone_shape = cu.shape
     rows, width = full[-2], full[-1]
     tile, spans = _tiles(full, ce.itemsize)
     take_u = np.empty(full[:-1], dtype=bool) if taped else None
     take_a = np.empty(full[:-1], dtype=bool) if taped else None
     out = _tiled_distance(trig, ce, se, lam, (take_u, take_a) if taped else None)
+    if not taped:
+        return out.reshape(shape[:-1]), None
 
     def rows_of(x, span):
         return _rows_of(x, span, rows)
@@ -590,30 +589,96 @@ def cone_entity_distance(cone: ConeBatch, entity, lam: float):
         sc, ss = np.sign(cu - ca) * w, np.sign(su - sa) * w
         g_u += cu * ss - su * sc
         g_a += sa * sc - ca * ss
-        return (ad._unbroadcast(g_u + g_l + g_a, axis.shape),
-                ad._unbroadcast((g_u - g_l) * 0.5, aperture.shape),
-                ad._unbroadcast(g_ent, ce.shape).reshape(ent.shape) if need_ent else None)
+        return (ad._unbroadcast(g_u + g_l + g_a, axis_shape),
+                ad._unbroadcast((g_u - g_l) * 0.5, aperture_shape),
+                ad._unbroadcast(g_ent, ce.shape).reshape(cos.shape) if need_ent else None)
 
-    return ad.fused(out.reshape(shape[:-1]), inputs, vjp)
+    return out.reshape(shape[:-1]), vjp
+
+
+def _dnf_distance(cones: Sequence[ConeBatch], trigs, points: EntityPoints, lam: float):
+    """``dnf_entity_distance`` of ``cones`` to ``points``, with each cone's
+    ``_cone_trig`` given in ``trigs``: one fused op over every disjunct."""
+    lam = float(lam)
+    cos, sin = (np.asarray(x, dtype=np.float64) for x in (points.cos, points.sin))
+    ids, table = points.ids, points.table  # so the VJP keeps no cos/sin alive
+    # the disjuncts last first, as the VJP visits them: the order in which a
+    # chain of ad.minimum over one op per disjunct reached them
+    inputs = (*(x for c in reversed(cones) for x in c), table)
+    taped = any(isinstance(x, ad.Tensor) for x in inputs)
+    need_ent = isinstance(table, ad.Tensor)
+    outs, vjps = [], []
+    for c, trig in zip(cones, trigs):
+        out, cone_vjp = _cone_distance(trig, ad.values_of(c.axis).shape,
+                                       ad.values_of(c.aperture).shape, cos, sin, lam,
+                                       taped, need_ent)
+        outs.append(out)
+        vjps.append(cone_vjp)
+    dist, takes, shapes = outs[0], [], []
+    for out in outs[1:]:
+        shapes.append(dist.shape)
+        takes.append(dist <= out)  # ad.minimum's choice: ties to the earlier disjunct
+        dist = np.where(takes[-1], dist, out)
+
+    def vjp(g):
+        grads, g_ent = [], None
+        for k in reversed(range(len(outs))):
+            g_k = g
+            if k:  # ad.minimum's pulls, in the chain's order
+                g_k = ad._unbroadcast(g * ~takes[k - 1], outs[k].shape)
+                g = ad._unbroadcast(g * takes[k - 1], shapes[k - 1])
+            # popped, so each disjunct's forward arrays are freed once used
+            g_axis, g_aperture, g_e = vjps.pop()(g_k)
+            grads += (g_axis, g_aperture)
+            if need_ent:
+                g_ent = g_e if g_ent is None else np.add(g_ent, g_e, out=g_ent)
+        if need_ent and ids is not None:
+            g_ent = ad.scatter_rows(g_ent, ids, table.values.shape)
+        return (*grads, g_ent)
+
+    return ad.fused(dist, inputs, vjp)
+
+
+def cone_entity_distance(cone: ConeBatch, entity, lam: float):
+    """Combined outside+inside distance between cones and entity points.
+
+    outside = min(L1 to the upper boundary, L1 to the lower boundary);
+    inside  = min(L1 to the axis, L1 between upper boundary and axis);
+    combined = outside + lam * inside, where L1 is the distance between
+    unit-circle points summed over all 2d real coordinates.  Shapes
+    broadcast; the trailing axis is reduced.
+
+    ``entity`` is ``EntityPoints`` (see ``entity_points``), whose cos/sin
+    are used as given, or bare angles, whose cos/sin are computed here.
+    One fused autodiff op (see ``autodiff`` for its subgradient conventions
+    and where the entity gradient goes): the entity rows (the second-to-last
+    axis of the broadcast) are processed in tiles of at most ``_TILE_BYTES``
+    per temporary.  The VJP takes one sign per coordinate of the boundary
+    the outside min chose and one of the axis, in tile buffers reused per
+    thread; where one cone row serves every entity row, a matmul sums the
+    cone's share over the rows.  Tape inputs and plain arrays take the same
+    path.
+    """
+    return dnf_entity_distance([cone], entity, lam)
 
 
 def dnf_entity_distance(disjuncts: Sequence[ConeBatch], entity, lam: float):
-    """Distance to a DNF embedding: the minimum over the disjunct cones.
-    ``entity`` is as in ``cone_entity_distance``."""
+    """Distance to a DNF embedding: the minimum over the disjunct cones, a
+    tie going to the earlier one.  ``entity`` is as in
+    ``cone_entity_distance``; its cos/sin serve every disjunct.  One fused
+    op: the disjuncts' entity gradients are summed, the last disjunct's
+    first, before one scatter into the entity table."""
     if not disjuncts:
         raise ValueError("a DNF embedding needs at least one disjunct")
-    entity = _as_points(entity)  # one cos/sin for all disjuncts
-    dist = cone_entity_distance(disjuncts[0], entity, lam)
-    for cone in disjuncts[1:]:
-        dist = ad.minimum(dist, cone_entity_distance(cone, entity, lam))
-    return dist
+    trigs = [_cone_trig(ad.values_of(c.axis), ad.values_of(c.aperture)) for c in disjuncts]
+    return _dnf_distance(disjuncts, trigs, _as_points(entity), lam)
 
 
 def entity_table32(m: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     """Every entity's cos and sin, taken in float64 as by ``entity_points``
     and rounded once to float32: the entity side of ``dnf_distance_table32``."""
-    points = entity_points(m, np.arange(ad.values_of(m.entity_axis).shape[0]))
-    return points.cos.astype(np.float32), points.sin.astype(np.float32)
+    angles = wrap_angle(ad.values_of(m.entity_axis))
+    return np.cos(angles).astype(np.float32), np.sin(angles).astype(np.float32)
 
 
 def dnf_distance_table32(disjuncts: Sequence[ConeBatch], cos32, sin32, lam: float):
@@ -696,14 +761,21 @@ def batch_loss(m: ModelParams, tag: str, anchors, relations, positives, negative
     queries, score each against its positive, widen every disjunct to
     (batch, 1, d) to score it against its (batch, k) negatives, and return
     the margin loss.  Training and the full-loss gradient audit both run it.
+
+    Bit for bit, values and gradients alike, this is ``entity_points`` then
+    ``dnf_entity_distance`` for the positives and again for the negatives;
+    it takes the trig of each distinct entity row and of each disjunct's
+    cone once for both.
     """
     size = positives.shape[0]
     disjuncts = embed_structure(m, tag, anchors, relations)
-    pos_dist = dnf_entity_distance(disjuncts, entity_points(m, positives), lam)
+    trigs = [_cone_trig(ad.values_of(c.axis), ad.values_of(c.aperture)) for c in disjuncts]
+    pos, neg = _entity_points(m, positives, negatives)
+    pos_dist = _dnf_distance(disjuncts, trigs, pos, lam)
     wide = [ConeBatch(ad.reshape(c.axis, (size, 1, m.d)),
                       ad.reshape(c.aperture, (size, 1, m.d)))
             for c in disjuncts]
-    neg_dist = dnf_entity_distance(wide, entity_points(m, negatives), lam)
+    neg_dist = _dnf_distance(wide, [[x[:, None] for x in trig] for trig in trigs], neg, lam)
     return margin_loss(pos_dist, neg_dist, margin)
 
 

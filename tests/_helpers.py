@@ -24,6 +24,7 @@ from conequery.cones import (
 from conequery import autodiff as ad
 from conequery import conditions, queries
 from conequery.evaluation import StructureMetrics
+from conequery.model import ConeBatch, cone_entity_distance, embed_structure, margin_loss
 
 
 def random_cone(rng: np.random.Generator) -> Cone:
@@ -588,3 +589,46 @@ def reference_adam_step(store, grads, m, v, t, lr):
         m[name] = beta1 * m[name] + (1.0 - beta1) * g
         v[name] = beta2 * v[name] + (1.0 - beta2) * g * g
         store.arrays[name] -= lr * (m[name] / bias1) / (np.sqrt(v[name] / bias2) + eps)
+
+
+# ---------------------------------------------------------------------------
+# entity points and the DNF distance as first written: gathered, wrapped
+# angles on the tape, one distance op per disjunct
+# ---------------------------------------------------------------------------
+
+def reference_entity_points(m, ids):
+    """The wrapped (..., d) angles of entity rows ``ids`` by gather then wrap
+    (tape tensors when ``m``'s are), and their cos and sin."""
+    angles = ad.wrap(ad.gather(m.entity_axis, np.asarray(ids, dtype=np.int64)))
+    values = ad.values_of(angles)
+    return angles, np.cos(values), np.sin(values)
+
+
+def reference_dnf_entity_distance(disjuncts, angles, lam):
+    """One ``cone_entity_distance`` op per disjunct, chained by ``ad.minimum``."""
+    dist = cone_entity_distance(disjuncts[0], angles, lam)
+    for cone in disjuncts[1:]:
+        dist = ad.minimum(dist, cone_entity_distance(cone, angles, lam))
+    return dist
+
+
+def composed_loss_and_grads(store, tag, anchors, relations, positives, negatives, lam,
+                            points, distance):
+    """``batch_loss``'s loss and gradients through ``points(m, ids)`` and
+    ``distance(disjuncts, entity, lam)``, once for the positives and once for
+    the negatives against the disjuncts widened to (batch, 1, d)."""
+    size = len(positives)
+    tape = ad.Tape()
+    m = store.tensors(tape)
+    disjuncts = embed_structure(m, tag, anchors, relations)
+    pos_dist = distance(disjuncts, points(m, positives), lam)
+    wide = [ConeBatch(ad.reshape(c.axis, (size, 1, store.d)),
+                      ad.reshape(c.aperture, (size, 1, store.d))) for c in disjuncts]
+    neg_dist = distance(wide, points(m, negatives), lam)
+    loss = margin_loss(pos_dist, neg_dist, store.margin)
+    tape.backward(loss)
+    grads = {}
+    for name in store.trainable_names():
+        g = getattr(m, name).grad
+        grads[name] = g if g is not None else np.zeros_like(store.arrays[name])
+    return float(ad.values_of(loss)), grads

@@ -2,11 +2,13 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from _helpers import naive_filtered_rank, reference_structure_rollup
+import conequery.evaluation as evaluation
 import conequery.model as model
 from conequery.evaluation import (
     NEGATION_STRUCTURES,
@@ -174,6 +176,24 @@ def test_evaluate_threads_deterministic(toy_eval_set):
     assert a.average_mrr == b.average_mrr
 
 
+def test_one_chunk_opens_no_thread_pool(toy_eval_set, monkeypatch):
+    # threads is a cap: one chunk of work is scored on the calling thread
+    kg, bundle = toy_eval_set
+    store = ParameterStore(kg.n_entities, kg.n_relations, 16, seed=1)
+    serial = evaluate_instances(store, bundle.test, lam=0.02, threads=1)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a thread pool was opened for one chunk")
+
+    monkeypatch.setattr(evaluation, "ThreadPoolExecutor", no_pool)
+    one_chunk = evaluate_instances(store, [q for q in bundle.test if q.structure == "1p"],
+                                   lam=0.02, threads=4)
+    assert one_chunk.results and one_chunk.results == [
+        res for res in serial.results if res.query.structure == "1p"]
+    with pytest.raises(AssertionError, match="thread pool"):  # several chunks still fan out
+        evaluate_instances(store, bundle.test, lam=0.02, threads=4)
+
+
 def test_structure_rollup_equals_the_reference_on_random_ranks():
     # many queries (numpy sums more than eight terms pairwise), each with one
     # to seven answers whose ranks sit on and around the Hits@k cut-offs
@@ -312,6 +332,30 @@ def test_paired_rescore_equals_the_full_float64_table(monkeypatch, every_structu
         order = rng.permutation(table.size)
         rows, ids = np.unravel_index(order, table.shape)
         assert np.array_equal(_rescore(m, disjuncts, rows, ids, 0.02), table[rows, ids]), tag
+
+
+def test_wide_band_rescore_memory_stays_bounded():
+    # every entity sits at one angle, so each answer's rounding band holds
+    # all 3000 entities: 96,000 (query, entity) pairs to rescore in float64.
+    # Rescored in one paired call, they held about 86 MiB at once.
+    n_entities, d = 3000, 8
+    store = ParameterStore(n_entities, 1, d, seed=5)
+    store.arrays["entity_axis"][:] = store.arrays["entity_axis"][0]
+    instances = [QueryInstance("1p", (i,), (0,), easy=(), hard=(i + 1,)) for i in range(32)]
+    tracemalloc.start()
+    try:
+        report = evaluate_instances(store, instances, lam=0.02)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2**20
+    m = store.tensors(None)
+    disjuncts = embed_structure(m, "1p", [q.anchors for q in instances],
+                                [q.relations for q in instances])
+    table = dnf_entity_distance(_wide(disjuncts), entity_points(m, np.arange(n_entities)), 0.02)
+    assert [res.ranks for res in report.results] == [
+        rank_instance(q, table[i]).ranks for i, q in enumerate(instances)]
+    assert report.results[0].ranks == (n_entities,)  # every tie counts against the answer
 
 
 # ---------------------------------------------------------------------------

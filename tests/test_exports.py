@@ -1,8 +1,12 @@
 """Every name a module exports resolves, so a deleted function cannot stay
-listed in ``__all__``."""
+listed in ``__all__``; and the package imports nothing beyond the standard
+library and numpy."""
 
+import ast
 import importlib
 import pkgutil
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -22,3 +26,20 @@ def test_every_exported_name_resolves(name):
     assert len(set(exported)) == len(exported), f"{name}.__all__ repeats a name"
     missing = [attr for attr in exported if not hasattr(module, attr)]
     assert not missing, f"{name}.__all__ names what it does not define: {missing}"
+
+
+ALLOWED_IMPORTS = set(sys.stdlib_module_names) | {"numpy", "conequery"}
+
+
+@pytest.mark.parametrize("path", sorted(Path(conequery.__file__).parent.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_package_imports_only_stdlib_and_numpy(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module)
+    outside = sorted(name for name in found if name.split(".")[0] not in ALLOWED_IMPORTS)
+    assert not outside, f"{path.name} imports {outside}"

@@ -51,8 +51,16 @@ from conequery.queries import (
     ground,
     structure_slots,
 )
+from conequery.training import batch_loss_and_grads
 
-from _helpers import angle_dist, composed_cone_entity_distance, per_input_intersect_cones
+from _helpers import (
+    angle_dist,
+    composed_cone_entity_distance,
+    composed_loss_and_grads,
+    per_input_intersect_cones,
+    reference_dnf_entity_distance,
+    reference_entity_points,
+)
 
 
 def toy_store(n_entities=30, n_relations=4, d=6, seed=0, **kw) -> ParameterStore:
@@ -83,29 +91,59 @@ def test_nominal_distance_to_own_entity_is_zero():
 
 @pytest.mark.parametrize("id_shape", [(4,), (8, 6)])
 def test_entity_points_wrap_order_is_invisible(id_shape):
-    # (4,) gathers then wraps; (8, 6) has more ids than the 30 table rows,
-    # so the table is wrapped first.  Values and gradients must not change.
+    # entity_points wraps and takes the trig of each distinct row once; (8,
+    # 6) has more ids than the 30 table rows.  Against gather, wrap, then
+    # trig, the values and the gradients must not change.
     store = toy_store()
     rng = np.random.default_rng(3)
     store.arrays["entity_axis"] += rng.integers(-3, 4, size=(30, 1)) * TWO_PI
     ids = rng.integers(30, size=id_shape)
-    weights = rng.normal(size=id_shape + (store.d,))
+    cone_shape = id_shape[:1] + (1,) * (len(id_shape) - 1) + (store.d,)
+    cone = ConeBatch(rng.uniform(-PI, PI, size=cone_shape),
+                     rng.uniform(0.0, TWO_PI, size=cone_shape))
+    weights = rng.normal(size=id_shape)
 
-    def run(points):
+    def run(entity):
         tape = ad.Tape()
         m = store.tensors(tape)
-        out = points(m)
-        tape.backward(ad.total(ad.multiply(out, weights)))
-        return out.values, m.entity_axis.grad
+        dist = cone_entity_distance(cone, entity(m), 0.3)
+        tape.backward(ad.total(ad.multiply(dist, weights)))
+        return dist.values, m.entity_axis.grad
 
-    got = run(lambda m: entity_points(m, ids).angles)
-    want = run(lambda m: ad.wrap(ad.gather(m.entity_axis, ids)))
+    got = run(lambda m: entity_points(m, ids))
+    want = run(lambda m: reference_entity_points(m, ids)[0])
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
     points = entity_points(store.tensors(), ids)
-    assert np.array_equal(points.angles, want[0])
-    # the carried coordinates are the trig of the angles, in either order
-    assert np.array_equal(points.cos, np.cos(points.angles))
-    assert np.array_equal(points.sin, np.sin(points.angles))
+    _, cos, sin = reference_entity_points(store.tensors(), ids)
+    assert np.array_equal(points.ids, ids)
+    # the carried coordinates are the trig of the gathered, wrapped angles
+    assert np.array_equal(points.cos, cos)
+    assert np.array_equal(points.sin, sin)
+
+
+@pytest.mark.parametrize("id_shape", [(7,), (8, 6)])
+def test_distance_entity_gradient_scatters_in_add_at_order(id_shape):
+    # the gradient that the distance sends to each point, scatter-added into
+    # the entity table by np.add.at, with ids repeated and two disjuncts
+    store = toy_store()
+    rng = np.random.default_rng(5)
+    ids = rng.integers(10, size=id_shape)  # rows 10..29 never used
+    cone_shape = id_shape[:1] + (1,) * (len(id_shape) - 1) + (store.d,)
+    cones = [ConeBatch(rng.uniform(-PI, PI, size=cone_shape),
+                       rng.uniform(0.0, TWO_PI, size=cone_shape)) for _ in range(2)]
+    weights = rng.normal(size=id_shape)
+
+    tape = ad.Tape()
+    m = store.tensors(tape)
+    tape.backward(ad.total(ad.multiply(dnf_entity_distance(cones, entity_points(m, ids), 0.3),
+                                       weights)))
+    tape = ad.Tape()
+    angles = tape.leaf(reference_entity_points(store.tensors(), ids)[0])
+    tape.backward(ad.total(ad.multiply(dnf_entity_distance(cones, angles, 0.3), weights)))
+    want = np.zeros_like(store.arrays["entity_axis"])
+    np.add.at(want, ids.reshape(-1), angles.grad.reshape(-1, store.d))
+    assert np.array_equal(m.entity_axis.grad, want)
+    assert np.all(m.entity_axis.grad[10:] == 0.0)
 
 
 @pytest.mark.parametrize("id_shape", [(4,), (8, 6)])
@@ -131,7 +169,8 @@ def test_distance_same_from_points_and_plain_angles(id_shape):
         tape.backward(ad.total(ad.multiply(dist, weights)))
         return dist.values, {n: getattr(m, n).grad for n in store.trainable_names()}
 
-    points, plain = run(lambda m: entity_points(m, ids)), run(lambda m: entity_points(m, ids).angles)
+    points = run(lambda m: entity_points(m, ids))
+    plain = run(lambda m: reference_entity_points(m, ids)[0])
     assert np.array_equal(points[0], plain[0])
     assert points[1].keys() == plain[1].keys()
     for name, g in points[1].items():
@@ -858,6 +897,36 @@ def test_loss_gradients_flow_to_all_parameter_groups():
     assert np.any(grads["entity_axis"] != 0.0)
     assert np.any(grads["relation_axis"] != 0.0)
     assert axis.shape == (2, store.d)
+
+
+@pytest.mark.parametrize("tag", ALL_STRUCTURES)
+def test_batch_loss_equals_public_composition_bit_for_bit(tag):
+    # batch_loss takes each distinct entity row's trig and each disjunct's
+    # cone trig once for positives and negatives; the loss and every
+    # gradient must equal entity_points then dnf_entity_distance, twice, and
+    # the gathered-angle composition with one op per disjunct, bit for bit.
+    # 12 entities for 6 positives and 6 x 9 negatives repeat ids within and
+    # across both, and positive 0 is also among every row's negatives.
+    store = toy_store(n_entities=12, d=5, seed=7)
+    rng = np.random.default_rng(41)
+    store.arrays["entity_axis"] += rng.integers(-2, 3, size=(12, 1)) * TWO_PI
+    n_a, n_r = structure_slots(tag)
+    anchors = rng.integers(12, size=(6, n_a))
+    relations = rng.integers(4, size=(6, n_r))
+    positives = rng.integers(12, size=6)
+    negatives = rng.integers(12, size=(6, 9))
+    negatives[:, 0] = positives[0]
+    batch = (store, tag, anchors, relations, positives, negatives)
+    got = batch_loss_and_grads(*batch, lam=0.3)
+    public = composed_loss_and_grads(*batch, 0.3, entity_points, dnf_entity_distance)
+    first = composed_loss_and_grads(*batch, 0.3, lambda m, ids: reference_entity_points(m, ids)[0],
+                                    reference_dnf_entity_distance)
+    for want in (public, first):
+        assert got[0] == want[0]
+        assert got[1].keys() == want[1].keys()
+        for name, g in got[1].items():
+            assert np.array_equal(g, want[1][name]), name
+    assert np.any(got[1]["entity_axis"] != 0.0)
 
 
 def test_eval_path_and_train_path_agree_bitwise():
