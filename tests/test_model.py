@@ -838,6 +838,18 @@ def test_float32_table_within_its_error_bound(d, lam, n_disjuncts, seed):
     assert np.all(np.abs(d32 - d64) <= c0 + c1 * d32)
 
 
+def test_entity_table32_rounds_the_trig_of_every_wrapped_row():
+    # read from the wrapped table directly, equal to gather, wrap, trig, cast
+    store = toy_store()
+    store.arrays["entity_axis"] += np.random.default_rng(6).integers(-3, 4, size=(30, 1)) * TWO_PI
+    m = store.tensors()
+    cos32, sin32 = entity_table32(m)
+    _, cos, sin = reference_entity_points(m, np.arange(30))
+    assert cos32.dtype == sin32.dtype == np.float32
+    assert np.array_equal(cos32, cos.astype(np.float32))
+    assert np.array_equal(sin32, sin.astype(np.float32))
+
+
 def test_float32_table_bound_refuses_what_it_does_not_cover():
     with pytest.raises(ValueError, match="non-negative"):
         table32_error_bound(8, -0.1)
