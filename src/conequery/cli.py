@@ -348,8 +348,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
     state = load_checkpoint(args.ckpt)
     instances = read_queries_jsonl(args.test)
     inputs = [Path(args.ckpt), Path(args.test)]
+    t0 = time.perf_counter()
     report = evaluate_instances(state.store, instances,
                                 lam=state.config.lam, threads=args.threads)
+    seconds = time.perf_counter() - t0
     print(format_eval_table(report))
     n_entities = state.store.arrays["entity_axis"].shape[0]
     baseline = expected_random_mrr_for(instances, n_entities)
@@ -368,7 +370,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         tsv, js = out_dir / "report.tsv", out_dir / "report.json"
         write_report_tsv(tsv, report)
-        write_report_json(js, report)
+        write_report_json(js, report, seconds)
         write_manifest(out_dir, command="eval",
                        config={"threads": args.threads, "lam": state.config.lam},
                        seed=None, inputs=inputs, outputs=[tsv, js],

@@ -3,8 +3,11 @@
 Ranks every held-out (query, answer) pair against all entities with the
 known answers filtered out, pessimistic on ties, then reports MRR and
 Hits@k per query structure, macro averages, and pattern-subgroup rollups.
-``evaluate_instances`` ranks from a float32 distance table and rescores in
-float64 only what its proven rounding bound leaves open, so its ranks equal
+``evaluate_instances`` ranks in three stages.  A float32 table of the
+outside term alone brackets each float32 distance, since the inside term
+adds at most lambda times a per-row chord; that bracket settles most pairs.
+The pairs it leaves open get their float32 distance, and what rounding
+could still change is rescored in float64.  So its ranks equal
 ``rank_instance``'s over the float64 table exactly (see its docstring).
 
 Aggregation convention: reciprocal ranks are averaged per query first (over
@@ -25,11 +28,13 @@ import numpy as np
 from .model import (
     ConeBatch,
     ParameterStore,
-    dnf_distance_table32,
-    dnf_entity_distance,
+    _cone_trig,
+    _dnf_distance,
     embed_structure,
     entity_points,
     entity_table32,
+    outside_tables32,
+    staged_distance32,
     table32_error_bound,
 )
 from .queries import ALL_STRUCTURES, QueryInstance
@@ -89,7 +94,7 @@ def filtered_rank(distances, answer: int, known_answers) -> int:
     return 1 + int(np.count_nonzero(d[mask] <= d[answer]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RankedResult:
     """Filtered ranks of one query's scored answers."""
 
@@ -121,7 +126,7 @@ def rank_instance(instance: QueryInstance, distances) -> RankedResult:
 # model-based evaluation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StructureMetrics:
     """Per-structure rollup; per-query averaging (see module docstring)."""
 
@@ -135,10 +140,17 @@ class StructureMetrics:
 
 @dataclass(frozen=True)
 class EvalReport:
+    """Ranked results and rollups.  ``open_pairs`` counts the (answer,
+    entity) pairs the float32 bracket left open, ``rescored_pairs`` those
+    rescored in float64, the answers' own rescore excluded (see
+    ``evaluate_instances``)."""
+
     results: list[RankedResult]
     per_structure: dict[str, StructureMetrics]
     average_mrr: float
     negation_average_mrr: float | None
+    open_pairs: int
+    rescored_pairs: int
 
 
 def _structure_rollup(results: list[RankedResult]) -> StructureMetrics:
@@ -174,60 +186,91 @@ def _validate_vocabulary(store: ParameterStore, instances) -> None:
 #: Most (answer, entity) comparisons made at once: 16 MB of float32 rows.
 _COMPARE_BLOCK = 1 << 22
 
+#: Most bytes in one (pairs, d) float32 array of a ``staged_distance32`` call.
+_STAGED_BYTES = 1 << 18
+
 #: Most bytes in one (pairs, d) float64 array of a float64 rescore call.
 _RESCORE_BYTES = 1 << 20
 
 
+def _staged(parts, rows, ids, cos32, sin32, lam: float) -> np.ndarray:
+    """Float32 distances D32 from chunk query ``rows[k]`` to entity
+    ``ids[k]``, by ``staged_distance32`` calls over blocks of at most
+    ``_STAGED_BYTES`` per (pairs, d) array."""
+    step = max(1, _STAGED_BYTES // (cos32.itemsize * cos32.shape[1]))
+    out = np.empty(len(ids), np.float32)
+    for lo in range(0, len(ids), step):
+        span = slice(lo, lo + step)
+        out[span] = staged_distance32(parts, rows[span], ids[span], cos32, sin32, lam)
+    return out
+
+
 def _rescore(m, disjuncts, rows, ids, lam: float) -> np.ndarray:
     """Float64 distances from chunk query ``rows[k]`` (rows of the (chunk,
-    d) ``disjuncts``) to entity ``ids[k]``, by paired ``dnf_entity_distance``
-    calls over blocks of at most ``_RESCORE_BYTES`` per (pairs, d) array."""
+    d) ``disjuncts``) to entity ``ids[k]``.  Each disjunct's cone trig is
+    taken once, and paired fused-distance calls over blocks of at most
+    ``_RESCORE_BYTES`` per (pairs, d) array gather its rows."""
+    trigs = [_cone_trig(c.axis, c.aperture) for c in disjuncts]
     step = max(1, _RESCORE_BYTES // (8 * m.d))
     out = np.empty(len(ids))
     for lo in range(0, len(ids), step):
         span = slice(lo, lo + step)
-        cones = [ConeBatch(c.axis[rows[span]], c.aperture[rows[span]]) for c in disjuncts]
-        out[span] = dnf_entity_distance(cones, entity_points(m, ids[span]), lam)
+        at = rows[span]
+        cones = [ConeBatch(c.axis[at], c.aperture[at]) for c in disjuncts]
+        out[span] = _dnf_distance(cones, [[x[at] for x in trig] for trig in trigs],
+                                  entity_points(m, ids[span]), lam)
     return out
 
 
-def _settled_ranks(m, disjuncts, chunk, table, lam: float, bound) -> list[RankedResult]:
-    """``rank_instance`` ranks of a chunk from its float32 ``table`` (which
-    this overwrites), settling in float64 only what rounding could change.
-
-    By the bound |D32 - D64| <= c0 + c1 D32, an entity whose D32 is at most
-    ``lo`` has D64 <= the answer's, and one above ``hi`` has D64 above it;
-    the band between, and the answer itself, are rescored in float64.
-    """
+def _settled_ranks(m, disjuncts, chunk, cos32, sin32, lam: float, bound):
+    """``rank_instance`` ranks of a chunk, and its open and rescored pair
+    counts, settling each (answer, entity) pair at the cheapest of the three
+    stages that can (see ``evaluate_instances``)."""
     c0, c1 = bound
+    parts = outside_tables32(disjuncts, cos32, sin32)
     targets = [q.hard if q.hard else q.easy for q in chunk]
     known = [set(q.easy) | set(q.hard) for q in chunk]
     first = np.cumsum([0] + [len(t) for t in targets])
     rows = np.repeat(np.arange(len(chunk)), np.diff(first))
     answers = np.fromiter(chain.from_iterable(targets), np.int64, first[-1])
-    near = table[rows, answers].astype(np.float64)
+    near = _staged(parts, rows, answers, cos32, sin32, lam).astype(np.float64)
     lo = (near * (1.0 - c1) - 2.0 * c0) / (1.0 + c1)
     hi = (near * (1.0 + c1) + 2.0 * c0) / (1.0 - c1)
-    table[np.repeat(np.arange(len(chunk)), [len(k) for k in known]),
-          np.fromiter(chain.from_iterable(known), np.int64)] = np.inf  # filtered out
+    known_at = (np.repeat(np.arange(len(chunk)), [len(k) for k in known]),
+                np.fromiter(chain.from_iterable(known), np.int64))
+    low = high = None  # the DNF min of each end of the bracket
+    for part in parts:
+        part.table[known_at] = np.inf  # filtered out
+        top = part.table + (part.p_ua * lam)[:, None]
+        low = part.table if low is None else np.minimum(low, part.table)
+        high = top if high is None else np.minimum(high, top, out=high)
+    # stage 1: counted when the bracket's top is <= lo, not when its bottom is > hi
     below = np.empty(len(answers), dtype=np.int64)
-    band_pair, band_ids = [], []
-    block = max(1, _COMPARE_BLOCK // table.shape[1])
+    open_pair, open_ids = [], []
+    block = max(1, _COMPARE_BLOCK // low.shape[1])
     for start in range(0, len(answers), block):
         span = slice(start, start + block)
-        dist = table[rows[span]]
-        below[span] = np.count_nonzero(dist <= lo[span, None], axis=1)
-        pair, ids = np.nonzero((dist > lo[span, None]) & (dist <= hi[span, None]))
-        band_pair.append(pair + start)
-        band_ids.append(ids)
-    band_pair = np.concatenate(band_pair)
+        settled = high[rows[span]] <= lo[span, None]
+        below[span] = np.count_nonzero(settled, axis=1)
+        settled |= low[rows[span]] > hi[span, None]
+        pair, ids = np.nonzero(~settled)  # NaN ends stay open
+        open_pair.append(pair + start)
+        open_ids.append(ids)
+    open_pair, open_ids = np.concatenate(open_pair), np.concatenate(open_ids)
+    # stage 2: the same rule on the D32 of the open pairs
+    dist = _staged(parts, rows[open_pair], open_ids, cos32, sin32, lam)
+    below += np.bincount(open_pair[dist <= lo[open_pair]], minlength=len(answers))
+    band = (dist > lo[open_pair]) & (dist <= hi[open_pair])
+    band_pair = open_pair[band]
+    # stage 3: the answers and the band in float64
     exact = _rescore(m, disjuncts, np.concatenate((rows, rows[band_pair])),
-                     np.concatenate((answers, *band_ids)), lam)
+                     np.concatenate((answers, open_ids[band])), lam)
     at, beside = exact[:len(answers)], exact[len(answers):]
     ranks = (1 + below + np.bincount(band_pair[beside <= at[band_pair]],
                                      minlength=len(answers))).tolist()
-    return [RankedResult(query=q, answers=tuple(t), ranks=tuple(ranks[first[i]:first[i + 1]]))
-            for i, (q, t) in enumerate(zip(chunk, targets))]
+    results = [RankedResult(query=q, answers=tuple(t), ranks=tuple(ranks[first[i]:first[i + 1]]))
+               for i, (q, t) in enumerate(zip(chunk, targets))]
+    return results, len(open_pair), len(band_pair)
 
 
 def evaluate_instances(store: ParameterStore, instances, *, lam: float,
@@ -240,18 +283,35 @@ def evaluate_instances(store: ParameterStore, instances, *, lam: float,
     is a cap: no more threads than chunks, and no pool for one chunk.
 
     The ranks are ``rank_instance``'s over the float64 ``dnf_entity_distance``
-    table, exactly, though that table is never built.  Each chunk gets a
-    float32 table (``dnf_distance_table32``), whose entries D32 are within
-    c0 + c1 D32 of the float64 ones D64 (``table32_error_bound``).  For an
-    answer with float32 distance a, an entity with D32 <= lo = (a (1 - c1)
-    - 2 c0) / (1 + c1) has D64 <= a - c0 - c1 a <= the answer's D64, so it
-    counts; one with D32 > hi = (a (1 + c1) + 2 c0) / (1 - c1) has D64 above
-    the answer's, so it does not.  The answer and the entities between lo and
-    hi are rescored in float64 by paired ``dnf_entity_distance`` calls over
-    blocks of a fixed byte budget (``_RESCORE_BYTES``), and the pessimistic
-    ``<=`` rule is applied to those values.
-    They equal the full table's entries bit for bit, because the kernel's
-    arithmetic per (query, entity) entry does not depend on the other rows.
+    table, exactly, though that table is never built.  A computed float32
+    distance D32 is within c0 + c1 D32 of the float64 one D64
+    (``table32_error_bound``).  For an answer with D32 a, an entity with D32
+    <= lo = (a (1 - c1) - 2 c0) / (1 + c1) has D64 <= a - c0 - c1 a <= the
+    answer's D64, so it counts; one with D32 > hi = (a (1 + c1) + 2 c0) / (1
+    - c1) has D64 above the answer's, so it does not.  Each (answer, entity)
+    pair is settled by the first of three stages that can:
+
+    1. Every pair: a float32 (chunk, |E|) table per disjunct holds only the
+       outside term O (``outside_tables32``, two chords of three).  The
+       inside term adds at most fl32(lam p_ua) per query row, and rounding is
+       monotone, so D32 lies between min_k O_k and min_k fl32(O_k + fl32(lam
+       p_ua_k)).  A top end <= lo counts the entity, a bottom end > hi does
+       not; every other pair is open.
+    2. The answers and the open pairs: D32 itself (``staged_distance32``),
+       the axis chord computed over gathered float32 rows in blocks of a
+       fixed byte budget (``_STAGED_BYTES``).  D32 <= lo counts, D32 > hi
+       does not; the pairs between go on.
+    3. The answers and what stage 2 left: float64 distances by paired fused
+       calls over blocks of ``_RESCORE_BYTES``, with each cone row's trig
+       taken once per chunk, and the pessimistic ``<=`` rule applied to them.
+       They equal the full table's entries bit for bit, because the kernel's
+       arithmetic per (query, entity) entry does not depend on the other
+       rows.
+
+    Each entity so gets the rule it would get from a full float32 table,
+    applied to a D32 that is computed or bracketed, so no bound beyond
+    ``table32_error_bound`` is needed.  The report counts the pairs stage 1
+    left open and the pairs stage 3 rescored, answers excluded.
     """
     if threads < 1:
         raise ValueError("threads must be a positive integer")
@@ -261,16 +321,16 @@ def evaluate_instances(store: ParameterStore, instances, *, lam: float,
     if not instances:
         raise ValueError("nothing to evaluate")
     _validate_vocabulary(store, instances)
+    lam = float(lam)
     bound = table32_error_bound(store.d, lam)
     m = store.tensors(None)
     cos32, sin32 = entity_table32(m)  # (n_entities, d) each
 
-    def score_chunk(tag: str, chunk: list[QueryInstance]) -> list[RankedResult]:
+    def score_chunk(tag: str, chunk: list[QueryInstance]):
         anchors = np.array([q.anchors for q in chunk], dtype=np.int64)
         relations = np.array([q.relations for q in chunk], dtype=np.int64)
         disjuncts = embed_structure(m, tag, anchors, relations)
-        table = dnf_distance_table32(disjuncts, cos32, sin32, lam)  # (chunk, n_entities)
-        return _settled_ranks(m, disjuncts, chunk, table, lam, bound)
+        return _settled_ranks(m, disjuncts, chunk, cos32, sin32, lam, bound)
 
     by_tag: dict[str, list[QueryInstance]] = {}
     for q in instances:
@@ -289,7 +349,7 @@ def evaluate_instances(store: ParameterStore, instances, *, lam: float,
         chunk_results = [score_chunk(*job) for job in jobs]
 
     grouped: dict[str, list[RankedResult]] = {}  # jobs run in structure order
-    for (tag, _), chunk in zip(jobs, chunk_results):
+    for (tag, _), (chunk, _, _) in zip(jobs, chunk_results):
         grouped.setdefault(tag, []).extend(chunk)
     results = list(chain.from_iterable(grouped.values()))
     per_structure = {tag: _structure_rollup(group) for tag, group in grouped.items()}
@@ -298,7 +358,9 @@ def evaluate_instances(store: ParameterStore, instances, *, lam: float,
     average = float(np.mean([per_structure[t].mrr for t in plain])) if plain else float("nan")
     neg_average = float(np.mean([per_structure[t].mrr for t in negated])) if negated else None
     return EvalReport(results=results, per_structure=per_structure,
-                      average_mrr=average, negation_average_mrr=neg_average)
+                      average_mrr=average, negation_average_mrr=neg_average,
+                      open_pairs=sum(n for _, n, _ in chunk_results),
+                      rescored_pairs=sum(n for _, _, n in chunk_results))
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +471,10 @@ def write_report_tsv(path: str, report: EvalReport) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def write_report_json(path: str, report: EvalReport) -> None:
+def write_report_json(path: str, report: EvalReport, seconds: float | None = None) -> None:
+    """The report's rollups and pair counts as JSON; with ``seconds``, the
+    wall time it took and its queries per second too."""
+    answers = sum(metrics.n_answers for metrics in report.per_structure.values())
     payload = {
         "per_structure": {
             tag: {
@@ -424,7 +489,14 @@ def write_report_json(path: str, report: EvalReport) -> None:
         },
         "average_mrr": report.average_mrr,
         "negation_average_mrr": report.negation_average_mrr,
+        "open_pairs": report.open_pairs,
+        "rescored_pairs": report.rescored_pairs,
+        "open_pairs_per_answer": report.open_pairs / answers,
+        "rescored_pairs_per_answer": report.rescored_pairs / answers,
     }
+    if seconds is not None:
+        payload["seconds"] = seconds
+        payload["queries_per_s"] = len(report.results) / seconds
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -60,7 +60,9 @@ __all__ = [
     "cone_entity_distance",
     "dnf_entity_distance",
     "entity_table32",
-    "dnf_distance_table32",
+    "Outside32",
+    "outside_tables32",
+    "staged_distance32",
     "table32_error_bound",
     "margin_loss",
     "batch_loss",
@@ -469,19 +471,22 @@ def _rows_of(x, span, rows):
 
 
 def _tiled_distance(trig, ce, se, lam, take=None):
-    """outside + lam * inside over entity-row tiles, in the dtype of ``ce``.
+    """outside + lam * inside over entity-row tiles, in the dtype of ``ce``;
+    with ``lam`` None, the outside term alone.
 
-    ``trig`` is a cone's ``_cone_trig`` and ``ce``/``se`` the entity cos and
-    sin, all of one rank >= 2 with the entity rows on axis -2.  ``take``,
-    when given, is two boolean arrays shaped like the result; they receive
-    where the outside min took the upper boundary and the inside min the
-    axis.
+    ``trig`` is a cone's ``_cone_trig`` (with ``lam`` None, its first four
+    arrays, the boundaries') and ``ce``/``se`` the entity cos and sin, all
+    of one rank >= 2 with the entity rows on axis -2.  ``take``, when given,
+    is two boolean arrays shaped like the result; they receive where the
+    outside min took the upper boundary and the inside min the axis.
     """
-    cu, su, cl, sl, ca, sa = trig
-    full = np.broadcast_shapes(cu.shape, ce.shape)
+    full = np.broadcast_shapes(trig[0].shape, ce.shape)
     rows, width = full[-2], full[-1]
     tile, spans = _tiles(full, ce.itemsize)
-    p_ua = _chord_l1(cu, su, ca, sa, np.empty(cu.shape, ce.dtype), np.empty(cu.shape, ce.dtype))
+    if lam is not None:
+        cu, su, _, _, ca, sa = trig
+        p_ua = _chord_l1(cu, su, ca, sa, np.empty(cu.shape, ce.dtype),
+                         np.empty(cu.shape, ce.dtype))
 
     def cols_of(x, span):  # a (..., rows) distance array's share of one tile
         return x if x.shape[-1] == 1 else x[..., span]
@@ -498,12 +503,16 @@ def _tiled_distance(trig, ce, se, lam, take=None):
             buf, tmp = (np.empty(full[:-2] + (span.stop - span.start, width), ce.dtype)
                         for _ in range(2))
         ce_t, se_t = _rows_of(ce, span, rows), _rows_of(se, span, rows)
-        cu_t, su_t, cl_t, sl_t, ca_t, sa_t = (_rows_of(x, span, rows) for x in cone_trig)
+        cu_t, su_t, cl_t, sl_t, *axis_t = (_rows_of(x, span, rows) for x in cone_trig)
         p_u = _chord_l1(cu_t, su_t, ce_t, se_t, buf, tmp)
         p_l = _chord_l1(cl_t, sl_t, ce_t, se_t, buf, tmp)
-        p_a = _chord_l1(ca_t, sa_t, ce_t, se_t, buf, tmp)
+        tu = p_u <= p_l
+        if lam is None:
+            out[..., span] = np.where(tu, p_u, p_l)
+            continue
+        p_a = _chord_l1(*axis_t, ce_t, se_t, buf, tmp)
         p_ua_t = cols_of(p_ua, span)
-        tu, ta = p_u <= p_l, p_a <= p_ua_t
+        ta = p_a <= p_ua_t
         out[..., span] = np.where(tu, p_u, p_l) + np.where(ta, p_a, p_ua_t) * lam
         if take is not None:
             take[0][..., span] = tu
@@ -676,27 +685,65 @@ def dnf_entity_distance(disjuncts: Sequence[ConeBatch], entity, lam: float):
 
 def entity_table32(m: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     """Every entity's cos and sin, taken in float64 as by ``entity_points``
-    and rounded once to float32: the entity side of ``dnf_distance_table32``."""
+    and rounded once to float32: the entity side of ``outside_tables32``."""
     angles = wrap_angle(ad.values_of(m.entity_axis))
     return np.cos(angles).astype(np.float32), np.sin(angles).astype(np.float32)
 
 
-def dnf_distance_table32(disjuncts: Sequence[ConeBatch], cos32, sin32, lam: float):
-    """``dnf_entity_distance`` of (batch, d) plain-array disjunct cones
-    against every entity of ``entity_table32``, as a float32 (batch,
-    n_entities) table.
+class Outside32(NamedTuple):
+    """One disjunct cone's float32 ranking parts (see ``outside_tables32``)."""
 
-    The cone trig is taken in float64 and rounded once to float32; the tile
-    arithmetic is the float64 kernel's, in float32 (tiles twice as many rows).
-    ``table32_error_bound`` bounds each entry's distance to the float64 one.
+    table: np.ndarray  # (batch, n_entities): the outside term O of each entry
+    p_ua: np.ndarray  # (batch,): the chord from the upper boundary to the axis
+    axis_cos: np.ndarray  # (batch, d)
+    axis_sin: np.ndarray  # (batch, d)
+
+
+def outside_tables32(disjuncts: Sequence[ConeBatch], cos32, sin32) -> list[Outside32]:
+    """Per (batch, d) plain-array disjunct cone, the outside term O of its
+    float32 distance to every entity of ``entity_table32``, as a (batch,
+    n_entities) table, and the parts ``staged_distance32`` adds the inside
+    term from.
+
+    The cone trig is taken in float64 and rounded once to float32; the table
+    runs the float64 kernel's tile arithmetic in float32 (tiles twice as many
+    rows), two chords per entry instead of three.  The inside term min(p_a,
+    p_ua) is at most p_ua and float32 rounding is monotone, so each
+    disjunct's D32 lies in [O, fl32(O + fl32(lam p_ua))], and the DNF min of
+    the D32s lies between the mins of the two ends.
     """
-    table = None
+    parts = []
     for cone in disjuncts:
-        trig = [x[..., None, :].astype(np.float32) for x in _cone_trig(cone.axis, cone.aperture)]
-        dist = _tiled_distance(trig, cos32[None], sin32[None], float(lam))
+        cu, su, cl, sl, ca, sa = (x.astype(np.float32)
+                                  for x in _cone_trig(cone.axis, cone.aperture))
+        table = _tiled_distance([x[:, None, :] for x in (cu, su, cl, sl)],
+                                cos32[None], sin32[None], None)
+        p_ua = _chord_l1(cu, su, ca, sa, np.empty_like(cu), np.empty_like(cu))
+        parts.append(Outside32(table, p_ua, ca, sa))
+    return parts
+
+
+def staged_distance32(parts: Sequence[Outside32], rows, ids, cos32, sin32, lam: float):
+    """The float32 DNF distance D32 from row ``rows[k]`` of ``parts`` to
+    entity ``ids[k]`` of ``entity_table32``.
+
+    Per disjunct, O is read from its table and lam * min(p_a, p_ua) added,
+    with p_a one paired axis chord over the gathered float32 rows: the
+    kernel's float32 arithmetic for that entry.  The disjuncts' min is taken
+    as ``dnf_entity_distance`` takes it.  ``table32_error_bound`` bounds
+    each value's distance to the float64 one.
+    """
+    lam = float(lam)
+    ce, se = cos32[ids], sin32[ids]
+    buf, tmp = np.empty_like(ce), np.empty_like(ce)
+    dist = None
+    for part in parts:
+        p_a = _chord_l1(part.axis_cos[rows], part.axis_sin[rows], ce, se, buf, tmp)
+        p_ua = part.p_ua[rows]
+        out = part.table[rows, ids] + np.where(p_a <= p_ua, p_a, p_ua) * lam
         # ad.minimum's choice, NaN included, so NaN entries match the float64 table's
-        table = dist if table is None else np.where(table <= dist, table, dist)
-    return table
+        dist = out if dist is None else np.where(dist <= out, dist, out)
+    return dist
 
 
 #: Unit roundoff of float32.
@@ -704,10 +751,13 @@ _U32 = 2.0 ** -24
 
 
 def table32_error_bound(d: int, lam: float) -> tuple[float, float]:
-    """(c0, c1) with |D32 - D64| <= c0 + c1 * D32 for every entry D32 of
-    ``dnf_distance_table32`` and the float64 ``dnf_entity_distance`` D64 of
+    """(c0, c1) with |D32 - D64| <= c0 + c1 * D32 for every computed D32 of
+    ``staged_distance32`` and the float64 ``dnf_entity_distance`` D64 of
     the same (query, entity): c0 = 8 d u (1 + lam), c1 = 2 (d + 4) u, with
-    u = 2^-24 and lam >= 0, for any summation order of the row sums.
+    u = 2^-24 and lam >= 0, for any summation order of the row sums.  It
+    bounds computed D32 values only: the ends of ``outside_tables32``'s
+    bracket are not distances, and a ranker that decides an entity from
+    them compares the D32 they bracket.
 
     Both tables start from the same float64 trig values x, |x| <= 1; the
     float32 one rounds each once, |fl32(x) - x| <= u.  Write g_n = n u / (1 -

@@ -181,7 +181,9 @@ class TestTrainEval:
                    "--test", str(data_dir / "test.jsonl"), "--out", str(out)])
         assert rc == 0
         assert (out / "report.tsv").exists()
-        json.loads((out / "report.json").read_text())
+        report = json.loads((out / "report.json").read_text())
+        assert report["seconds"] > 0 and report["queries_per_s"] > 0
+        assert report["open_pairs"] >= report["rescored_pairs"] >= 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert str(run_dir / "last.ckpt") in manifest["inputs"]
 

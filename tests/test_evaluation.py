@@ -29,11 +29,12 @@ from conequery.evaluation import (
 from conequery.model import (
     ConeBatch,
     ParameterStore,
-    dnf_distance_table32,
     dnf_entity_distance,
     embed_structure,
     entity_points,
     entity_table32,
+    outside_tables32,
+    staged_distance32,
 )
 from conequery.planted import build_planted_kg
 from conequery.queries import ALL_STRUCTURES, KnowledgeGraph, QueryInstance, generate_dataset
@@ -267,13 +268,18 @@ def every_structure_set():
 def _store_with(kg, rows: str) -> ParameterStore:
     """A random d=16 store; "twins" makes each odd entity row a copy of the
     even row before it (exact ties), "near-twins" a copy moved by about
-    1e-7 rad, which float64 separates and float32 mostly does not."""
+    1e-7 rad, which float64 separates and float32 mostly does not; "wide"
+    gives every relation an aperture of about 3 rad, so the float32 bracket
+    leaves most pairs open."""
     store = ParameterStore(kg.n_entities, kg.n_relations, 16, seed=3)
     table = store.arrays["entity_axis"]
     if rows == "twins":
         table[1::2] = table[0::2]
     elif rows == "near-twins":
         table[1::2] = table[0::2] + 1e-7 * np.random.default_rng(8).normal(size=table[1::2].shape)
+    elif rows == "wide":
+        store.arrays["relation_aperture"][:] = np.random.default_rng(8).uniform(
+            2.9, 3.1, size=store.arrays["relation_aperture"].shape)
     return store
 
 
@@ -293,25 +299,47 @@ def _ranks_over(instances, m, lam, table_of):
     return [ranks[q] for q in instances]
 
 
-@pytest.mark.parametrize("rows", ["random", "twins", "near-twins"])
-def test_evaluate_ranks_equal_float64_table_ranks(every_structure_set, rows):
+def _staged_table32(m, disjuncts, lam):
+    """The float32 D32 of every (query, entity) pair, as ``evaluate_instances``
+    computes it when a pair is not settled by its bracket."""
+    cos32, sin32 = entity_table32(m)
+    parts = outside_tables32(disjuncts, cos32, sin32)
+    rows, ids = np.indices((len(disjuncts[0].axis), len(cos32))).reshape(2, -1)
+    return staged_distance32(parts, rows, ids, cos32, sin32, lam).reshape(-1, len(cos32))
+
+
+@pytest.mark.parametrize("rows, lam", [  # the paper's lambda = 0.02 keeps the bare name
+    pytest.param(rows, lam, id=rows if lam == 0.02 else f"{rows}-lam{lam:g}")
+    for rows in ("random", "twins", "near-twins", "wide") for lam in (0.0, 0.02, 1.0)])
+def test_evaluate_ranks_equal_float64_table_ranks(every_structure_set, rows, lam):
     kg, instances = every_structure_set
     store = _store_with(kg, rows)
     m = store.tensors(None)
     points = entity_points(m, np.arange(kg.n_entities))
-    want = _ranks_over(instances, m, 0.02,
-                       lambda disjuncts: dnf_entity_distance(_wide(disjuncts), points, 0.02))
-    for threads in (1, 2):
-        for chunk_size in (3, 128):
-            report = evaluate_instances(store, instances, lam=0.02, threads=threads,
-                                        chunk_size=chunk_size)
+    want = _ranks_over(instances, m, lam,
+                       lambda disjuncts: dnf_entity_distance(_wide(disjuncts), points, lam))
+    for chunk_size in (3, 128):
+        reports = [evaluate_instances(store, instances, lam=lam, threads=threads,
+                                      chunk_size=chunk_size) for threads in (1, 2)]
+        for report in reports:
             by_query = {res.query: res.ranks for res in report.results}
             assert [by_query[q] for q in instances] == want
+        assert reports[0].open_pairs == reports[1].open_pairs
+        assert reports[0].rescored_pairs == reports[1].rescored_pairs
     if rows == "near-twins":  # the float64 recheck is what makes them equal
-        cos32, sin32 = entity_table32(m)
-        float32_only = _ranks_over(instances, m, 0.02, lambda disjuncts: dnf_distance_table32(
-            disjuncts, cos32, sin32, 0.02))
+        float32_only = _ranks_over(instances, m, lam,
+                                   lambda disjuncts: _staged_table32(m, disjuncts, lam))
         assert float32_only != want
+
+
+def test_wide_apertures_leave_most_pairs_open(every_structure_set):
+    # the store the exact-rank test runs "wide" on: there the bracket
+    # decides little and the staged float32 distances do the ranking
+    kg, instances = every_structure_set
+    report = evaluate_instances(_store_with(kg, "wide"), instances, lam=1.0)
+    answers = sum(len(res.answers) for res in report.results)
+    assert report.open_pairs > 0.5 * answers * kg.n_entities
+    assert report.rescored_pairs < 0.01 * report.open_pairs  # float32 settles the rest
 
 
 @pytest.mark.parametrize("tile_bytes", [1 << 18, 3 * 16 * 8 * 4])
@@ -356,6 +384,8 @@ def test_wide_band_rescore_memory_stays_bounded():
     assert [res.ranks for res in report.results] == [
         rank_instance(q, table[i]).ranks for i, q in enumerate(instances)]
     assert report.results[0].ranks == (n_entities,)  # every tie counts against the answer
+    # one angle: the bracket settles no entity, and each is rescored in float64
+    assert report.open_pairs == report.rescored_pairs == len(instances) * (n_entities - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -446,6 +476,16 @@ def test_report_writers(toy_eval_set, tmp_path):
     payload = json.loads(js.read_text())
     assert math.isclose(payload["average_mrr"], report.average_mrr)
     assert set(payload["per_structure"]) == set(report.per_structure)
+    assert (payload["open_pairs"], payload["rescored_pairs"]) == (report.open_pairs,
+                                                                  report.rescored_pairs)
+    answers = sum(len(res.answers) for res in report.results)
+    assert payload["open_pairs_per_answer"] == report.open_pairs / answers
+    assert payload["rescored_pairs_per_answer"] == report.rescored_pairs / answers
+    assert "seconds" not in payload
+    write_report_json(str(js), report, seconds=0.5)
+    payload = json.loads(js.read_text())
+    assert payload["seconds"] == 0.5
+    assert payload["queries_per_s"] == len(report.results) / 0.5
 
     table = format_eval_table(report)
     assert "structure" in table and "AVG" in table

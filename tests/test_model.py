@@ -27,7 +27,6 @@ from conequery.model import (
     ParameterStore,
     _embed_node,
     cone_entity_distance,
-    dnf_distance_table32,
     dnf_entity_distance,
     embed_query,
     embed_structure,
@@ -37,8 +36,10 @@ from conequery.model import (
     margin_loss,
     negate_cone,
     nominal_cone,
+    outside_tables32,
     param_breakdown,
     project_cone,
+    staged_distance32,
     table32_error_bound,
 )
 from conequery.queries import (
@@ -828,14 +829,31 @@ def _table_case(rng, d, n_disjuncts, batch=3, n_entities=8):
 @given(d=st.sampled_from([1, 7, 64, 800]), lam=st.sampled_from([0.0, 0.02, 1.0]),
        n_disjuncts=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
 def test_float32_table_within_its_error_bound(d, lam, n_disjuncts, seed):
+    # the D32 the ranker computes for every pair, and the bracket it decides
+    # most pairs by: O <= D32 <= fl32(O + fl32(lam p_ua)) per disjunct and
+    # after the DNF min
     disjuncts, m = _table_case(np.random.default_rng(seed), d, n_disjuncts)
-    d32 = dnf_distance_table32(disjuncts, *entity_table32(m), lam)
+    cos32, sin32 = entity_table32(m)
+    parts = outside_tables32(disjuncts, cos32, sin32)
+    rows, ids = np.indices((3, 8)).reshape(2, -1)
+
+    def staged(parts):
+        return staged_distance32(parts, rows, ids, cos32, sin32, lam).reshape(3, 8)
+
+    d32 = staged(parts)
     wide = [ConeBatch(c.axis[:, None, :], c.aperture[:, None, :]) for c in disjuncts]
     d64 = dnf_entity_distance(wide, entity_points(m, np.arange(8)), lam)
     assert d32.dtype == np.float32 and d32.shape == d64.shape
     c0, c1 = table32_error_bound(d, lam)
-    d32 = d32.astype(np.float64)
-    assert np.all(np.abs(d32 - d64) <= c0 + c1 * d32)
+    assert np.all(np.abs(d32.astype(np.float64) - d64) <= c0 + c1 * d32.astype(np.float64))
+    lows, tops = [], []
+    for part in parts:
+        top = part.table + (part.p_ua * lam)[:, None]
+        assert part.table.dtype == top.dtype == np.float32
+        assert np.all(part.table <= staged([part])) and np.all(staged([part]) <= top)
+        lows.append(part.table)
+        tops.append(top)
+    assert np.all(np.min(lows, axis=0) <= d32) and np.all(d32 <= np.min(tops, axis=0))
 
 
 def test_entity_table32_rounds_the_trig_of_every_wrapped_row():
