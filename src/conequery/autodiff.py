@@ -384,12 +384,18 @@ def reshape(x, shape):
     return _result(xv.reshape(shape), (x,), (lambda g: g.reshape(xv.shape),))
 
 
-def scatter_rows(rows: np.ndarray, idx, shape: tuple) -> np.ndarray:
+def scatter_rows(rows: np.ndarray, idx, shape: tuple, flat=None) -> np.ndarray:
     """A zero 2-D table of ``shape`` with each of ``rows`` (shaped
     ``idx.shape + (width,)``) added into its table row ``idx``, in the
-    flattened order of ``idx`` (see the module docstring)."""
+    flattened order of ``idx`` (see the module docstring).  ``flat``, when
+    given, is a contiguous int64 array of ``rows.size`` entries that
+    receives the flat index, which is otherwise allocated."""
     width = shape[-1]
-    flat = (np.asarray(idx, dtype=np.int64).reshape(-1, 1) * width + np.arange(width)).reshape(-1)
+    idx = np.asarray(idx, dtype=np.int64).reshape(-1, 1)
+    if flat is None:
+        flat = (idx * width + np.arange(width)).reshape(-1)
+    else:
+        np.add(idx * width, np.arange(width), out=flat.reshape(-1, width))
     return np.bincount(flat, weights=rows.reshape(-1), minlength=shape[0] * width).reshape(shape)
 
 

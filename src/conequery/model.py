@@ -21,6 +21,7 @@ only queries of one structure, so the computation graph is shared.
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from dataclasses import dataclass
@@ -230,9 +231,11 @@ def _checked_ids(table, ids, kind: str) -> np.ndarray:
     return ids
 
 
-def _entity_points(m: ModelParams, *id_arrays) -> list[EntityPoints]:
+def _entity_points(m: ModelParams, *id_arrays, pooled: bool = False) -> list[EntityPoints]:
     """``entity_points`` of each id array, wrapping and taking the cos and
-    sin of each distinct row among all of them once."""
+    sin of each distinct row among all of them once.  With ``pooled``, the
+    per-id cos and sin are ``_workspace`` views, for a caller that keeps them
+    inside one step."""
     table = ad.values_of(m.entity_axis)
     ids = [_checked_ids(m.entity_axis, x, "entity") for x in id_arrays]
     seen = np.zeros(table.shape[0], dtype=bool)
@@ -242,12 +245,16 @@ def _entity_points(m: ModelParams, *id_arrays) -> list[EntityPoints]:
     slot = np.empty(table.shape[0], dtype=np.int64)  # table row -> index in rows
     slot[rows] = np.arange(rows.size)
 
-    def per_id(values):  # one coordinate of the distinct rows, indexed per id array
-        return [np.take(values, slot[x], axis=0) for x in ids]
+    def per_id(values, name):  # one coordinate of the distinct rows, per id array
+        # mode "clip" (the ids are in range) lets take write into out unbuffered
+        return [np.take(values, slot[x], axis=0, mode="clip",
+                        out=_workspace(f"{name}{k}", x.shape + values.shape[1:])
+                        if pooled else None)
+                for k, x in enumerate(ids)]
 
     angles = wrap_angle(table[rows])  # a fresh array, so its sin may overwrite it
-    cos = per_id(np.cos(angles))
-    sin = per_id(np.sin(angles, out=angles))
+    cos = per_id(np.cos(angles), "cos")
+    sin = per_id(np.sin(angles, out=angles), "sin")
     return [EntityPoints(m.entity_axis, x, c, s) for x, c, s in zip(ids, cos, sin)]
 
 
@@ -408,26 +415,40 @@ def embed_structure(m: ModelParams, tag: str, anchors, relations) -> list[ConeBa
 #: size, so no (batch, entities, d) array is ever allocated.  The forward
 #: keeps up to eight such temporaries (two buffers, six repeated cone
 #: operands); in ranking, this 2 MB working set measured faster than the
-#: 8 MB that 1 MB tiles make.  The VJP's three come from ``_scratch``; taken
-#: from there, the forward's measured slower in evaluation.
+#: 8 MB that 1 MB tiles make.  A taped forward's two buffers and the VJP's
+#: three come from ``_workspace``; taken from there, ranking's two measured
+#: slower in evaluation, so an untaped forward allocates its own.
 _TILE_BYTES = 1 << 18
 
-_scratch_cache = threading.local()
+_workspace_cache = threading.local()
 
 
-def _scratch(shape, count):
-    """``count`` float64 buffers of ``shape``, views into this thread's pool
-    (a buffer per index, grown to the largest request), valid until the
-    thread's next call.  Buffers over ``_TILE_BYTES`` (an entity row bigger
-    than a tile) are fresh and not kept."""
+def _workspace(key: str, shape) -> np.ndarray:
+    """An uninitialised float64 array of ``shape``: a view into this
+    thread's buffer for ``key``, grown to the key's largest request and kept
+    from one training step to the next, so the step's large arrays are not
+    freed and faulted in again.  The view is valid until the thread's next
+    request for ``key``; no op lets one escape (return values and ``.grad``
+    arrays are fresh).  ``_drop_workspace`` frees the thread's buffers."""
     size = math.prod(shape)
-    if size * 8 > _TILE_BYTES:
-        return [np.empty(shape) for _ in range(count)]
-    pool = vars(_scratch_cache).setdefault("pool", [])
-    for i in range(count):
-        if i == len(pool) or pool[i].size < size:
-            pool[i:i + 1] = [np.empty(size)]
-    return [buf[:size].reshape(shape) for buf in pool[:count]]
+    pool = vars(_workspace_cache).setdefault("pool", {})
+    buf = pool.get(key)
+    if buf is None or buf.size < size:
+        buf = pool[key] = np.empty(size)
+    return buf[:size].reshape(shape)
+
+
+def _drop_workspace() -> None:
+    """Free this thread's ``_workspace`` buffers."""
+    vars(_workspace_cache).pop("pool", None)
+
+
+@functools.lru_cache(maxsize=None)
+def _ones(width: int, dtype) -> np.ndarray:
+    """A read-only ones vector, built once per (width, dtype)."""
+    ones = np.ones(width, dtype)
+    ones.flags.writeable = False
+    return ones
 
 
 def _chord_l1(cos_a, sin_a, cos_b, sin_b, buf, tmp):
@@ -442,7 +463,7 @@ def _chord_l1(cos_a, sin_a, cos_b, sin_b, buf, tmp):
     if buf.dtype == np.float64:
         return buf.sum(axis=-1)
     width = buf.shape[-1]
-    return (buf.reshape(-1, width) @ np.ones(width, buf.dtype)).reshape(buf.shape[:-1])
+    return (buf.reshape(-1, width) @ _ones(width, buf.dtype)).reshape(buf.shape[:-1])
 
 
 def _cone_trig(axis, aperture):
@@ -476,9 +497,10 @@ def _tiled_distance(trig, ce, se, lam, take=None):
 
     ``trig`` is a cone's ``_cone_trig`` (with ``lam`` None, its first four
     arrays, the boundaries') and ``ce``/``se`` the entity cos and sin, all
-    of one rank >= 2 with the entity rows on axis -2.  ``take``, when given,
-    is two boolean arrays shaped like the result; they receive where the
-    outside min took the upper boundary and the inside min the axis.
+    of one rank >= 2 with the entity rows on axis -2.  ``take``, when given
+    (a taped forward, whose tile buffers come from ``_workspace``), is two
+    boolean arrays shaped like the result; they receive where the outside
+    min took the upper boundary and the inside min the axis.
     """
     full = np.broadcast_shapes(trig[0].shape, ce.shape)
     rows, width = full[-2], full[-1]
@@ -500,8 +522,9 @@ def _tiled_distance(trig, ce, se, lam, take=None):
     buf = None
     for span in spans:
         if buf is None or buf.shape[-2] != span.stop - span.start:
-            buf, tmp = (np.empty(full[:-2] + (span.stop - span.start, width), ce.dtype)
-                        for _ in range(2))
+            shape = full[:-2] + (span.stop - span.start, width)
+            buf, tmp = ((np.empty(shape, ce.dtype) if take is None
+                         else _workspace(f"tile{i}", shape)) for i in range(2))
         ce_t, se_t = _rows_of(ce, span, rows), _rows_of(se, span, rows)
         cu_t, su_t, cl_t, sl_t, *axis_t = (_rows_of(x, span, rows) for x in cone_trig)
         p_u = _chord_l1(cu_t, su_t, ce_t, se_t, buf, tmp)
@@ -521,12 +544,13 @@ def _tiled_distance(trig, ce, se, lam, take=None):
 
 
 def _cone_distance(trig, axis_shape, aperture_shape, cos, sin, lam: float,
-                   taped: bool, need_ent: bool):
+                   taped: bool, need_ent: bool, ent_key: str | None = None):
     """One cone's distances to the entity points ``cos``/``sin`` (the cone
     given by its ``_cone_trig`` and the shapes of its axis and aperture) and,
     when ``taped``, the VJP that maps their gradient to the axis, aperture and
     (when ``need_ent``) entity-angle gradients, the last shaped like ``cos``;
-    else None in place of the VJP."""
+    else None in place of the VJP.  With ``ent_key``, the entity gradient is
+    written into that ``_workspace`` buffer."""
     shape = np.broadcast_shapes(trig[0].shape, cos.shape)
     nd = max(len(shape), 2)
 
@@ -558,8 +582,10 @@ def _cone_distance(trig, axis_shape, aperture_shape, cos, sin, lam: float,
         # cos * (weighted sin signs) - sin * (weighted cos signs), tile by tile
         trig = ((cu, su), (cl, sl), (ca, sa))
         g_cone = [np.zeros(cone_shape) for _ in trig]
-        g_ent = np.empty(full) if need_ent else None
-        bufs = _scratch(full[:-2] + (tile, width), 3)
+        g_ent = None
+        if need_ent:
+            g_ent = np.empty(full) if ent_key is None else _workspace(ent_key, full)
+        bufs = [_workspace(f"vjp{i}", full[:-2] + (tile, width)) for i in range(3)]
         for span in spans:
             diff, s_o, s_a = (b[..., :span.stop - span.start, :] for b in bufs)
             w_t = weights[..., span]
@@ -605,22 +631,32 @@ def _cone_distance(trig, axis_shape, aperture_shape, cos, sin, lam: float,
     return out.reshape(shape[:-1]), vjp
 
 
-def _dnf_distance(cones: Sequence[ConeBatch], trigs, points: EntityPoints, lam: float):
+def _dnf_distance(cones: Sequence[ConeBatch], trigs, points: EntityPoints, lam: float,
+                  reuse_cos: bool = False):
     """``dnf_entity_distance`` of ``cones`` to ``points``, with each cone's
-    ``_cone_trig`` given in ``trigs``: one fused op over every disjunct."""
+    ``_cone_trig`` given in ``trigs``: one fused op over every disjunct.
+
+    With ``reuse_cos`` (the points' cos is a ``_workspace`` buffer that only
+    this op reads), the VJP writes the entity scatter's flat index over it
+    once every disjunct's VJP has read it, so the step allocates no index.
+    """
     lam = float(lam)
     cos, sin = (np.asarray(x, dtype=np.float64) for x in (points.cos, points.sin))
     ids, table = points.ids, points.table  # so the VJP keeps no cos/sin alive
+    flat = cos.reshape(-1).view(np.int64) if reuse_cos and ids is not None else None
     # the disjuncts last first, as the VJP visits them: the order in which a
     # chain of ad.minimum over one op per disjunct reached them
     inputs = (*(x for c in reversed(cones) for x in c), table)
     taped = any(isinstance(x, ad.Tensor) for x in inputs)
     need_ent = isinstance(table, ad.Tensor)
     outs, vjps = [], []
-    for c, trig in zip(cones, trigs):
+    for k, (c, trig) in enumerate(zip(cones, trigs)):
+        # scattered into the table, the entity gradients never leave the VJP:
+        # the last disjunct's, which the VJP visits first, is the accumulator
+        key = None if ids is None else ("ent_grad" if k == len(cones) - 1 else "ent_grad_part")
         out, cone_vjp = _cone_distance(trig, ad.values_of(c.axis).shape,
                                        ad.values_of(c.aperture).shape, cos, sin, lam,
-                                       taped, need_ent)
+                                       taped, need_ent, key)
         outs.append(out)
         vjps.append(cone_vjp)
     dist, takes, shapes = outs[0], [], []
@@ -642,7 +678,7 @@ def _dnf_distance(cones: Sequence[ConeBatch], trigs, points: EntityPoints, lam: 
             if need_ent:
                 g_ent = g_e if g_ent is None else np.add(g_ent, g_e, out=g_ent)
         if need_ent and ids is not None:
-            g_ent = ad.scatter_rows(g_ent, ids, table.values.shape)
+            g_ent = ad.scatter_rows(g_ent, ids, table.values.shape, flat)
         return (*grads, g_ent)
 
     return ad.fused(dist, inputs, vjp)
@@ -815,17 +851,20 @@ def batch_loss(m: ModelParams, tag: str, anchors, relations, positives, negative
     Bit for bit, values and gradients alike, this is ``entity_points`` then
     ``dnf_entity_distance`` for the positives and again for the negatives;
     it takes the trig of each distinct entity row and of each disjunct's
-    cone once for both.
+    cone once for both.  The points' cos and sin are ``_workspace`` views
+    that the distances' VJPs read (and then write their scatter index over),
+    so on a tape, run its backward before this thread's next ``batch_loss``.
     """
     size = positives.shape[0]
     disjuncts = embed_structure(m, tag, anchors, relations)
     trigs = [_cone_trig(ad.values_of(c.axis), ad.values_of(c.aperture)) for c in disjuncts]
-    pos, neg = _entity_points(m, positives, negatives)
-    pos_dist = _dnf_distance(disjuncts, trigs, pos, lam)
+    pos, neg = _entity_points(m, positives, negatives, pooled=True)
+    pos_dist = _dnf_distance(disjuncts, trigs, pos, lam, reuse_cos=True)
     wide = [ConeBatch(ad.reshape(c.axis, (size, 1, m.d)),
                       ad.reshape(c.aperture, (size, 1, m.d)))
             for c in disjuncts]
-    neg_dist = _dnf_distance(wide, [[x[:, None] for x in trig] for trig in trigs], neg, lam)
+    neg_dist = _dnf_distance(wide, [[x[:, None] for x in trig] for trig in trigs], neg, lam,
+                             reuse_cos=True)
     return margin_loss(pos_dist, neg_dist, margin)
 
 

@@ -5,8 +5,9 @@ slot template and embed as a matrix batch; the structure itself is drawn
 uniformly at random per step, which mixes structures across batches without
 any per-structure schedule.  Training minimises the margin loss of the
 answer cones against uniformly sampled negative entities.  ``train()`` turns
-each structure's instances into arrays once, and draws a batch with the same
-rng calls as sampling each instance's negatives on its own.
+each structure's instances into arrays once, and draws a batch in two rng
+calls that yield the same numbers, and leave the same generator state, as
+drawing each instance's positive and sampling its negatives on its own.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from itertools import chain
@@ -21,8 +23,13 @@ from itertools import chain
 import numpy as np
 
 from . import autodiff as ad
-from .model import ModelParams, ParameterStore, batch_loss
+from .model import ModelParams, ParameterStore, _drop_workspace, batch_loss
 from .queries import ALL_STRUCTURES, KnowledgeGraph, QueryInstance, sample_instance
+
+try:
+    import resource
+except ImportError:  # not on every platform; train() then logs no memory fields
+    resource = None
 
 __all__ = [
     "PROFILES",
@@ -200,6 +207,21 @@ def _describe(q: QueryInstance) -> str:
     return f"the {q.structure} query on anchors {q.anchors} and relations {q.relations}"
 
 
+#: numpy's ``Generator.choice(size, n, replace=False)`` runs Floyd's
+#: algorithm unless size > _TAIL_SIZE and n > size // _TAIL_RATIO, where it
+#: shuffles the tail of an ``arange(size)`` instead (numpy/random/_generator.pyx).
+_TAIL_SIZE, _TAIL_RATIO = 10000, 50
+
+
+def _swap_tail(size: int, n: int, swaps) -> list[int]:
+    """The last n entries of ``arange(size)`` after the tail shuffle's swaps
+    (position size-1-t with ``swaps[t]``), kept as a dict of moved entries."""
+    moved: dict[int, int] = {}
+    for i, j in zip(range(size - 1, size - 1 - n, -1), swaps):
+        moved[i], moved[j] = moved.get(j, j), moved.get(i, i)
+    return [moved.get(k, k) for k in range(size - n, size)]
+
+
 class _StructurePool:
     """One structure's usable instances as arrays, built once per ``train()``.
 
@@ -212,10 +234,10 @@ class _StructurePool:
         self.anchors = np.array([q.anchors for q in instances], dtype=np.int64)
         self.relations = np.array([q.relations for q in instances], dtype=np.int64)
         answers = [q.easy if q.easy else q.hard for q in instances]
-        self.answer_counts = [len(a) for a in answers]
-        self.answer_starts = np.cumsum([0] + self.answer_counts[:-1])
+        self.answer_counts = np.array([len(a) for a in answers], dtype=np.int64)
+        self.answer_starts = np.cumsum(self.answer_counts) - self.answer_counts
         self.answers = np.fromiter(chain.from_iterable(answers), np.int64,
-                                   count=sum(self.answer_counts))
+                                   count=int(self.answer_counts.sum()))
 
         lengths = np.array([len(q.easy) + len(q.hard) for q in instances], dtype=np.int64)
         known = np.fromiter(chain.from_iterable(chain(q.easy, q.hard) for q in instances),
@@ -228,35 +250,87 @@ class _StructurePool:
         self.shift = np.arange(len(instances), dtype=np.int64) * n_entities
         known = _distinct(np.repeat(self.shift, lengths) + known)
         starts = np.searchsorted(known, self.shift)
-        #: Non-answer count per instance, as Python ints for the draw loop.
-        self.sizes = (n_entities - np.diff(starts, append=known.size)).tolist()
-        if 0 in self.sizes:
-            q = instances[self.sizes.index(0)]
-            raise ValueError(f"every entity answers {_describe(q)}; no negatives exist")
+        #: Non-answer count per instance.
+        self.sizes = n_entities - np.diff(starts, append=known.size)
+        empty = np.flatnonzero(self.sizes == 0)
+        if empty.size:
+            raise ValueError(f"every entity answers {_describe(instances[empty[0]])}; "
+                             "no negatives exist")
         self.keys = known - np.arange(known.size)
         #: Count of non-answers of the instances before each one.
         self.rank_offsets = self.shift - starts
 
     def draw(self, rng: np.random.Generator, b: int, n: int):
-        """Anchors, relations, positives and negatives of a b-instance batch.
-
-        The rng calls come in the per-instance order: the batch rows, then
-        per row its positive's index among its answers and its negatives'
-        ``rng.choice``, which draws the same ranks as ``sample_negatives``.
-        """
-        rows = rng.integers(len(self.answer_counts), size=b)
-        ranks = np.empty(b, dtype=np.int64)
-        picks = np.empty((b, n), dtype=np.int64)
-        integers, choice = rng.integers, rng.choice
-        counts, sizes = self.answer_counts, self.sizes
-        for i, j in enumerate(rows.tolist()):
-            ranks[i] = integers(counts[j])
-            size = sizes[j]
-            picks[i] = choice(size, size=n, replace=size < n)
+        """Anchors, relations, positives and negatives of a b-instance batch,
+        from the draws of ``_draw_ranks``."""
+        rows, ranks, picks = self._draw_ranks(rng, b, n)
         positives = self.answers[self.answer_starts[rows] + ranks]
         picks += self.rank_offsets[rows, None]
         negatives = _complement_ids(self.keys, picks) - self.shift[rows, None]
         return self.anchors[rows], self.relations[rows], positives, negatives
+
+    def _draw_ranks(self, rng: np.random.Generator, b: int, n: int):
+        """The batch rows, each row's positive's index among its answers and
+        its negatives' ranks in its complement, as the per-instance calls
+        draw them: ``rng.integers(len(pool), size=b)``, then per row
+        ``rng.integers(count)`` and ``sample_negatives``' ``rng.choice(size,
+        n, replace=size < n)``.
+
+        Both make Lemire bounded draws on one 32-bit stream (a bound of 1
+        draws nothing), so after the rows one ``rng.integers`` over every
+        row's bounds, in row order, yields the same numbers and leaves the
+        same generator state.  The choice's draws then become ranks over all
+        rows at once: n draws with replacement; or Floyd's algorithm (bounds
+        size-n+1 .. size) and a Fisher-Yates shuffle (bounds n .. 2); or, for
+        large complements, the swaps of a tail shuffle (bounds size, size-1,
+        ...).
+        """
+        rows = rng.integers(len(self.answer_counts), size=b)
+        sizes = self.sizes[rows]
+        t = np.arange(n)
+        replace = sizes < n
+        tail = ~replace & (sizes > _TAIL_SIZE) & (sizes // _TAIL_RATIO < n)
+        floyd = ~(replace | tail)
+        # row i's bounds: its positive's, then its choice's; 1 draws nothing
+        bounds = np.ones((b, 2 * n), dtype=np.int64)
+        bounds[:, 0] = self.answer_counts[rows]
+        bounds[:, 1:n + 1] = np.where(replace[:, None], sizes[:, None],
+                                      sizes[:, None] - np.where(tail[:, None], t, n - 1 - t))
+        bounds[floyd, n + 1:] = n - t[:-1]
+        drawn = rng.integers(0, bounds)
+
+        picks = drawn[:, 1:n + 1].copy()  # with replacement, the draws themselves
+        if floyd.any():
+            picks[floyd] = self._floyd(drawn[floyd], sizes[floyd], n)
+        for i in np.flatnonzero(tail).tolist():
+            picks[i] = _swap_tail(int(sizes[i]), n, drawn[i, 1:n + 1].tolist())
+        return rows, drawn[:, 0], picks
+
+    @staticmethod
+    def _floyd(drawn, sizes, n: int) -> np.ndarray:
+        """Floyd's picks from each row's draws (columns 1 .. n), then the
+        shuffle's swaps (columns n+1 ..), as (rows, n) ranks.  Pick t is its
+        draw unless an earlier pick took that value, and then size-n+t."""
+        count, width = sizes.size, int(sizes.max())
+        # each row's values live in its own stretch of one flat occupancy mask
+        base = np.arange(count, dtype=np.int64) * width
+        taken = np.zeros(count * width, dtype=bool)
+        # position-major and C-ordered, so the flat view below sees every swap
+        picks = (drawn[:, 1:n + 1] + base[:, None]).T.copy()
+        last = base + sizes - n  # pick t's fallback is last + t
+        for t in range(n):
+            at = picks[t]
+            np.copyto(at, last + t, where=taken[at])
+            taken[at] = True
+        picks -= base[None]
+        flat = picks.reshape(-1)
+        # Fisher-Yates: position i = n-1 .. 1 swaps with its draw, row by row
+        lanes = np.arange(count, dtype=np.int64)
+        here = np.arange(n - 1, 0, -1)[:, None] * count + lanes
+        there = drawn[:, n + 1:].T * count + lanes
+        for dst, src in zip(np.hstack((here, there)), np.hstack((there, here))):
+            flat[dst] = flat[src]
+        return picks.T
 
 
 # ---------------------------------------------------------------------------
@@ -414,6 +488,18 @@ class TrainingDiverged(RuntimeError):
 _EMA = 0.05  # weight of the newest batch in the running-loss averages
 
 
+def _memory_fields(start_faults: int) -> dict:
+    """The process's peak RSS in MB and its minor page faults since
+    ``start_faults``, from ``resource.getrusage``; empty without it."""
+    if resource is None:
+        return {}
+    usage = resource.getrusage(resource.RUSAGE_SELF)
+    # ru_maxrss is in KiB on Linux and in bytes on macOS
+    scale = 1 if sys.platform == "darwin" else 1024
+    return {"peak_rss_mb": usage.ru_maxrss * scale / 2**20,
+            "minor_faults": usage.ru_minflt - start_faults}
+
+
 def train(instances, n_entities: int, n_relations: int, cfg: TrainingConfig, *,
           valid_instances=None, out_dir: str | None = None,
           state: TrainState | None = None,
@@ -428,8 +514,14 @@ def train(instances, n_entities: int, n_relations: int, cfg: TrainingConfig, *,
     steps (and at the end); when ``valid_instances`` are given, validation
     MRR is computed every ``cfg.eval_every`` steps, the best state is kept in
     ``best.ckpt``, and the run stops after ``cfg.patience`` evaluations
-    without improvement.
+    without improvement.  ``"train"`` events also carry the process's peak
+    RSS and its minor page faults since the call began, where the platform
+    has ``resource``.
+
+    A step's large arrays live in this thread's model workspace, kept from
+    one step to the next and freed when the call returns or raises.
     """
+    start_faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt if resource else 0
     usable = [q for q in instances if q.easy or q.hard]
     if not usable:
         raise ValueError("no trainable instances (all lack answers)")
@@ -445,6 +537,15 @@ def train(instances, n_entities: int, n_relations: int, cfg: TrainingConfig, *,
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
 
+    try:
+        return _train_loop(state, pools, tags, cfg, valid_instances, out_dir, log_every,
+                           start_faults)
+    finally:
+        _drop_workspace()
+
+
+def _train_loop(state: TrainState, pools, tags, cfg: TrainingConfig, valid_instances,
+                out_dir, log_every: int, start_faults: int) -> tuple[TrainState, list[dict]]:
     log: list[dict] = []
     best_valid = -math.inf
     evals_since_best = 0
@@ -471,7 +572,8 @@ def train(instances, n_entities: int, n_relations: int, cfg: TrainingConfig, *,
 
         if state.step == 1 or state.step % log_every == 0 or state.step == cfg.steps:
             log.append({"event": "train", "step": state.step, "structure": tag,
-                        "loss": loss, "running_loss": state.running_loss})
+                        "loss": loss, "running_loss": state.running_loss,
+                        **_memory_fields(start_faults)})
         if out_dir and state.step % cfg.checkpoint_every == 0:
             save_checkpoint(os.path.join(out_dir, "last.ckpt"), state)
 

@@ -780,7 +780,9 @@ def test_distance_scratch_is_private_to_each_thread():
 
 
 def test_distance_scratch_pool_is_bounded():
-    # in a fresh thread, whose pool starts empty; the VJP takes three buffers
+    # in a fresh thread, whose workspace starts empty; a taped forward takes
+    # two tile buffers and the VJP three, and bare angles' entity gradient is
+    # returned, so it is not pooled
     rng = np.random.default_rng(28)
     pools = []
 
@@ -789,15 +791,49 @@ def test_distance_scratch_pool_is_bounded():
             axis, aperture, entity = _random_distance_inputs(rng, (3, 1, 4), (3, rows, 4))
             _distance_grads(cone_entity_distance, axis, aperture, entity,
                             np.ones((3, rows)), 0.3)
-        pools.append(list(model._scratch_cache.pool))
+        pools.append(dict(model._workspace_cache.pool))
 
     thread = threading.Thread(target=work)
     thread.start()
     thread.join(timeout=60)
     assert not thread.is_alive()
     (pool,) = pools
-    assert len(pool) == 3
-    assert all(buf.nbytes <= model._TILE_BYTES for buf in pool)
+    assert sorted(pool) == ["tile0", "tile1", "vjp0", "vjp1", "vjp2"]
+    assert all(buf.nbytes <= model._TILE_BYTES for buf in pool.values())
+
+
+def _seeded_distance_grads(disjuncts, bare, seed):
+    """Cone and entity gradients of ``cone_entity_distance`` (one disjunct)
+    or ``dnf_entity_distance`` from (4, 1, 6) cones to bare (4, 5, 6) angles
+    or to ``entity_points`` of a (4, 5) id array, random weights on the
+    output."""
+    rng = np.random.default_rng(seed)
+    tape = ad.Tape()
+    cones = [ConeBatch(tape.leaf(rng.uniform(-PI, PI, size=(4, 1, 6))),
+                       tape.leaf(rng.uniform(0.0, TWO_PI, size=(4, 1, 6))))
+             for _ in range(disjuncts)]
+    if bare:
+        table = entity = tape.leaf(rng.uniform(-PI, PI, size=(4, 5, 6)))
+    else:  # the gradient is scattered into the table
+        m = ParameterStore(12, 2, 6, seed=seed).tensors(tape)
+        table, entity = m.entity_axis, entity_points(m, rng.integers(0, 12, size=(4, 5)))
+    if disjuncts == 1:
+        out = cone_entity_distance(cones[0], entity, 0.3)
+    else:
+        out = dnf_entity_distance(cones, entity, 0.3)
+    tape.backward(ad.total(ad.multiply(out, rng.normal(size=(4, 5)))))
+    return [x.grad for c in cones for x in c] + [table.grad]
+
+
+@pytest.mark.parametrize("disjuncts", [1, 2])
+@pytest.mark.parametrize("bare", [True, False])
+def test_distance_gradients_survive_the_next_call(disjuncts, bare):
+    first = _seeded_distance_grads(disjuncts, bare, 0)
+    kept = [g.copy() for g in first]
+    second = _seeded_distance_grads(disjuncts, bare, 1)
+    assert not np.array_equal(first[-1], second[-1])
+    for g, copy in zip(first, kept):
+        assert np.array_equal(g, copy)
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conequery import training
+from conequery import model, training
 from conequery.model import ParameterStore
 from conequery.planted import build_planted_kg
 from conequery.queries import (
@@ -179,6 +181,58 @@ def test_negatives_match_setdiff1d_reference_draw_for_draw():
     for sampler in (sample_negatives, reference_negatives):
         with pytest.raises(ValueError, match="every entity"):
             sampler(everyone, 1, np.random.default_rng(0), 3)
+
+
+@st.composite
+def _draw_cases(draw):
+    """A pool of instances over a small or a wide entity set, and n: the
+    choice runs with replacement, Floyd's algorithm or the tail shuffle."""
+    wide = draw(st.booleans())
+    n_entities = draw(st.integers(10_001, 10_300) if wide else st.integers(2, 40))
+    n = draw(st.integers(1, 260) if wide else st.integers(1, 50))
+    instances = []
+    for i in range(draw(st.integers(1, 5))):
+        ids = draw(st.lists(st.integers(0, n_entities - 1), min_size=1,
+                            max_size=min(n_entities - 1, 12)))
+        cut = draw(st.sampled_from([0, 1, len(ids)]))  # one easy answer, or none
+        instances.append(QueryInstance("1p", (i,), (0,), tuple(ids[:cut]), tuple(ids[cut:])))
+    return instances, n_entities, n, draw(st.integers(1, 8))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_draw_cases(), seed=st.integers(0, 2**32 - 1), cached_half=st.booleans())
+def test_batched_draw_replays_the_per_row_calls(case, seed, cached_half):
+    instances, n_entities, n, b = case
+    pool = training._StructurePool(instances, n_entities)
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    if cached_half:  # PCG64 then holds the unused 32-bit half of a 64-bit draw
+        rng.integers(7, dtype=np.uint32)
+        ref.integers(7, dtype=np.uint32)
+    rows, ranks, picks = pool._draw_ranks(rng, b, n)
+
+    want_rows = ref.integers(len(instances), size=b)
+    assert np.array_equal(rows, want_rows)
+    for i, j in enumerate(want_rows.tolist()):
+        q = instances[j]
+        size = n_entities - len(set(q.easy + q.hard))
+        assert ranks[i] == ref.integers(len(q.easy or q.hard))
+        assert np.array_equal(picks[i], ref.choice(size, size=n, replace=size < n))
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_choice_switch_constants_match_numpy():
+    # Floyd's algorithm and the tail shuffle draw different bounds, so a
+    # choice taken in the wrong regime leaves another generator state
+    cases = [(training._TAIL_SIZE, training._TAIL_SIZE // training._TAIL_RATIO + 1),
+             (training._TAIL_SIZE + 1, (training._TAIL_SIZE + 1) // training._TAIL_RATIO),
+             (training._TAIL_SIZE + 1, (training._TAIL_SIZE + 1) // training._TAIL_RATIO + 1)]
+    for n_entities, n in cases:
+        pool = training._StructurePool([QueryInstance("1p", (0,), (0,), (0,), ())],
+                                       n_entities + 1)
+        rng, ref = np.random.default_rng(9), np.random.default_rng(9)
+        _, _, picks = pool._draw_ranks(rng, 1, n)  # its row and positive draw nothing
+        assert np.array_equal(picks[0], ref.choice(n_entities, size=n, replace=False))
+        assert rng.bit_generator.state == ref.bit_generator.state
 
 
 # ---------------------------------------------------------------------------
@@ -370,6 +424,54 @@ def test_nan_loss_aborts_with_diagnostic(tiny_dataset):
     state.store.arrays["entity_axis"][:] = np.nan
     with pytest.raises(TrainingDiverged, match="step 1"):
         train(instances, kg.n_entities, kg.n_relations, cfg, state=state)
+
+
+def test_train_drops_its_workspace(tiny_dataset):
+    instances, kg = tiny_dataset
+    cfg = _loop_cfg(steps=3)
+    model._workspace("left over", (4,))
+    train(instances, kg.n_entities, kg.n_relations, cfg)
+    assert not vars(model._workspace_cache).get("pool")
+    state = init_state(cfg, kg.n_entities, kg.n_relations)
+    state.store.arrays["entity_axis"][:] = np.nan
+    model._workspace("left over", (4,))
+    with pytest.raises(TrainingDiverged):
+        train(instances, kg.n_entities, kg.n_relations, cfg, state=state)
+    assert not vars(model._workspace_cache).get("pool")
+
+
+def test_train_events_report_memory(tiny_dataset):
+    pytest.importorskip("resource")
+    instances, kg = tiny_dataset
+    _, log = train(instances, kg.n_entities, kg.n_relations, _loop_cfg(steps=4), log_every=2)
+    events = [e for e in log if e["event"] == "train"]
+    assert [e["step"] for e in events] == [1, 2, 4]
+    assert all(e["peak_rss_mb"] > 0 and e["minor_faults"] >= 0 for e in events)
+    assert events[0]["minor_faults"] <= events[-1]["minor_faults"]
+
+
+def _batch(tiny_dataset, seed):
+    instances, kg = tiny_dataset
+    pool = training._StructurePool(instances, kg.n_entities)
+    return pool.draw(np.random.default_rng(seed), 16, 8)
+
+
+def test_batch_gradients_survive_the_next_step(tiny_dataset):
+    _, kg = tiny_dataset
+    store = ParameterStore(kg.n_entities, kg.n_relations, 8, seed=2)
+    model._drop_workspace()
+    _, first = batch_loss_and_grads(store, "1p", *_batch(tiny_dataset, 0), lam=0.5)
+    kept = {name: g.copy() for name, g in first.items()}
+    before = dict(model._workspace_cache.pool)
+    _, second = batch_loss_and_grads(store, "1p", *_batch(tiny_dataset, 1), lam=0.5)
+    pool = model._workspace_cache.pool
+    # the second step ran in the first one's buffers ...
+    assert {"cos1", "sin1", "ent_grad", "vjp0"} <= before.keys() == pool.keys()
+    assert all(pool[key] is buf for key, buf in before.items())
+    # ... and left its gradients alone
+    assert not np.array_equal(first["entity_axis"], second["entity_axis"])
+    for name, g in first.items():
+        assert np.array_equal(g, kept[name]), name
 
 
 def test_train_rejects_empty():
