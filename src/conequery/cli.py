@@ -50,7 +50,7 @@ from conequery.evaluation import (
     write_report_json,
     write_report_tsv,
 )
-from conequery.model import param_breakdown
+from conequery.model import ROTATION_MODES, param_breakdown
 from conequery.patterns import (
     mine_patterns,
     read_labels_tsv,
@@ -152,7 +152,7 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     g.add_argument("--lam", type=float, help="inside-distance weight")
     g.add_argument("--steps", type=int, help="optimization steps")
     g.add_argument("--seed", type=int, help="RNG seed")
-    g.add_argument("--rotation-mode", choices=["additive", "multiplicative"],
+    g.add_argument("--rotation-mode", choices=ROTATION_MODES,
                    dest="rotation_mode", help="aperture update rule")
     g.add_argument("--checkpoint-every", type=int, dest="checkpoint_every")
     g.add_argument("--eval-every", type=int, dest="eval_every",
@@ -353,8 +353,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
                                 lam=state.config.lam, threads=args.threads)
     seconds = time.perf_counter() - t0
     print(format_eval_table(report))
-    n_entities = state.store.arrays["entity_axis"].shape[0]
-    baseline = expected_random_mrr_for(instances, n_entities)
+    baseline = expected_random_mrr_for(instances, state.store.n_entities)
     print(f"analytic random-ranking baseline MRR: {baseline:.4f}")
 
     if args.labels:
@@ -416,8 +415,7 @@ def cmd_extract_axioms(args: argparse.Namespace) -> int:
         inputs.append(Path(args.patterns))
     axioms = extract(state.store, tol=args.tol, frac_threshold=args.frac,
                      patterns=patterns, proximity_top_n=args.top_n)
-    n_relations = state.store.arrays["relation_axis"].shape[0]
-    names = state.relation_names or [f"rel{i}" for i in range(n_relations)]
+    names = state.relation_names or [f"rel{i}" for i in range(state.store.n_relations)]
     emit_ontology(axioms, args.out, names)
     print(Path(args.out).read_text(encoding="utf-8"), end="")
     log.info("%d axioms at tol=%g frac=%g", len(axioms), args.tol, args.frac)
@@ -444,11 +442,8 @@ def cmd_grad_check(args: argparse.Namespace) -> int:
 
 def cmd_param_count(args: argparse.Namespace) -> int:
     if args.ckpt:
-        state = load_checkpoint(args.ckpt)
-        store = state.store
-        breakdown = param_breakdown(
-            store.arrays["entity_axis"].shape[0],
-            store.arrays["relation_axis"].shape[0], store.d)
+        store = load_checkpoint(args.ckpt).store
+        breakdown = param_breakdown(store.n_entities, store.n_relations, store.d)
     else:
         if args.entities is None or args.relations is None or args.d is None:
             raise ValueError("need --entities, --relations and --d (or --ckpt)")

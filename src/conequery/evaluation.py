@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from itertools import chain
 
 import numpy as np
@@ -128,7 +128,8 @@ def rank_instance(instance: QueryInstance, distances) -> RankedResult:
 
 @dataclass(frozen=True, slots=True)
 class StructureMetrics:
-    """Per-structure rollup; per-query averaging (see module docstring)."""
+    """Per-structure rollup; per-query averaging (see module docstring).
+    The fields are the report's columns after ``structure``, in order."""
 
     n_queries: int
     n_answers: int
@@ -183,26 +184,15 @@ def _validate_vocabulary(store: ParameterStore, instances) -> None:
             )
 
 
+#: Most queries of one structure scored together: the rows of a chunk's
+#: (chunk, |E|) tables.
+_CHUNK = 128
+
 #: Most (answer, entity) comparisons made at once: 16 MB of float32 rows.
 _COMPARE_BLOCK = 1 << 22
 
-#: Most bytes in one (pairs, d) float32 array of a ``staged_distance32`` call.
-_STAGED_BYTES = 1 << 18
-
 #: Most bytes in one (pairs, d) float64 array of a float64 rescore call.
 _RESCORE_BYTES = 1 << 20
-
-
-def _staged(parts, rows, ids, cos32, sin32, lam: float) -> np.ndarray:
-    """Float32 distances D32 from chunk query ``rows[k]`` to entity
-    ``ids[k]``, by ``staged_distance32`` calls over blocks of at most
-    ``_STAGED_BYTES`` per (pairs, d) array."""
-    step = max(1, _STAGED_BYTES // (cos32.itemsize * cos32.shape[1]))
-    out = np.empty(len(ids), np.float32)
-    for lo in range(0, len(ids), step):
-        span = slice(lo, lo + step)
-        out[span] = staged_distance32(parts, rows[span], ids[span], cos32, sin32, lam)
-    return out
 
 
 def _rescore(m, disjuncts, rows, ids, lam: float) -> np.ndarray:
@@ -233,7 +223,7 @@ def _settled_ranks(m, disjuncts, chunk, cos32, sin32, lam: float, bound):
     first = np.cumsum([0] + [len(t) for t in targets])
     rows = np.repeat(np.arange(len(chunk)), np.diff(first))
     answers = np.fromiter(chain.from_iterable(targets), np.int64, first[-1])
-    near = _staged(parts, rows, answers, cos32, sin32, lam).astype(np.float64)
+    near = staged_distance32(parts, rows, answers, cos32, sin32, lam).astype(np.float64)
     lo = (near * (1.0 - c1) - 2.0 * c0) / (1.0 + c1)
     hi = (near * (1.0 + c1) + 2.0 * c0) / (1.0 - c1)
     known_at = (np.repeat(np.arange(len(chunk)), [len(k) for k in known]),
@@ -258,7 +248,7 @@ def _settled_ranks(m, disjuncts, chunk, cos32, sin32, lam: float, bound):
         open_ids.append(ids)
     open_pair, open_ids = np.concatenate(open_pair), np.concatenate(open_ids)
     # stage 2: the same rule on the D32 of the open pairs
-    dist = _staged(parts, rows[open_pair], open_ids, cos32, sin32, lam)
+    dist = staged_distance32(parts, rows[open_pair], open_ids, cos32, sin32, lam)
     below += np.bincount(open_pair[dist <= lo[open_pair]], minlength=len(answers))
     band = (dist > lo[open_pair]) & (dist <= hi[open_pair])
     band_pair = open_pair[band]
@@ -274,9 +264,10 @@ def _settled_ranks(m, disjuncts, chunk, cos32, sin32, lam: float, bound):
 
 
 def evaluate_instances(store: ParameterStore, instances, *, lam: float,
-                       threads: int = 1, chunk_size: int = 128) -> EvalReport:
+                       threads: int = 1) -> EvalReport:
     """Score every instance against all entities and roll up the metrics.
 
+    Each structure's queries are scored in chunks of at most ``_CHUNK``.
     Queries are independent, so chunks may be scored in parallel threads
     against the immutable parameter snapshot; the reduction is per-query,
     which keeps the report deterministic for any thread count.  ``threads``
@@ -298,9 +289,9 @@ def evaluate_instances(store: ParameterStore, instances, *, lam: float,
        p_ua_k)).  A top end <= lo counts the entity, a bottom end > hi does
        not; every other pair is open.
     2. The answers and the open pairs: D32 itself (``staged_distance32``),
-       the axis chord computed over gathered float32 rows in blocks of a
-       fixed byte budget (``_STAGED_BYTES``).  D32 <= lo counts, D32 > hi
-       does not; the pairs between go on.
+       the axis chord computed over gathered float32 rows in blocks of the
+       distance kernel's tile size.  D32 <= lo counts, D32 > hi does not;
+       the pairs between go on.
     3. The answers and what stage 2 left: float64 distances by paired fused
        calls over blocks of ``_RESCORE_BYTES``, with each cone row's trig
        taken once per chunk, and the pessimistic ``<=`` rule applied to them.
@@ -315,8 +306,6 @@ def evaluate_instances(store: ParameterStore, instances, *, lam: float,
     """
     if threads < 1:
         raise ValueError("threads must be a positive integer")
-    if chunk_size < 1:
-        raise ValueError("chunk_size must be a positive integer")
     instances = [q for q in instances if q.easy or q.hard]
     if not instances:
         raise ValueError("nothing to evaluate")
@@ -337,9 +326,9 @@ def evaluate_instances(store: ParameterStore, instances, *, lam: float,
         by_tag.setdefault(q.structure, []).append(q)
 
     jobs = [
-        (tag, by_tag[tag][lo:lo + chunk_size])
+        (tag, by_tag[tag][lo:lo + _CHUNK])
         for tag in ALL_STRUCTURES if tag in by_tag
-        for lo in range(0, len(by_tag[tag]), chunk_size)
+        for lo in range(0, len(by_tag[tag]), _CHUNK)
     ]
     workers = min(threads, len(jobs))
     if workers > 1:
@@ -421,28 +410,19 @@ def subgroup_report(results, subgroup_relations: dict[str, set[int]]) -> dict[st
 # report serialization
 # ---------------------------------------------------------------------------
 
-def _report_rows(report: EvalReport) -> list[dict[str, object]]:
-    rows: list[dict[str, object]] = []
-    for tag, metrics in report.per_structure.items():
-        rows.append({
-            "structure": tag,
-            "queries": metrics.n_queries,
-            "answers": metrics.n_answers,
-            "mrr": metrics.mrr,
-            "hits1": metrics.hits1,
-            "hits3": metrics.hits3,
-            "hits10": metrics.hits10,
-        })
-    rows.append({"structure": "AVG", "queries": "", "answers": "",
-                 "mrr": report.average_mrr, "hits1": "", "hits3": "", "hits10": ""})
-    if report.negation_average_mrr is not None:
-        rows.append({"structure": "AVG-NEG", "queries": "", "answers": "",
-                     "mrr": report.negation_average_mrr,
-                     "hits1": "", "hits3": "", "hits10": ""})
-    return rows
-
-
 _COLUMNS = ("structure", "queries", "answers", "mrr", "hits1", "hits3", "hits10")
+
+
+def _report_rows(report: EvalReport) -> list[dict[str, object]]:
+    """One row per structure, keyed by ``_COLUMNS``, then the macro averages
+    (blank but for ``mrr``)."""
+    rows = [dict(zip(_COLUMNS, (tag, *astuple(metrics))))
+            for tag, metrics in report.per_structure.items()]
+    for name, value in (("AVG", report.average_mrr),
+                        ("AVG-NEG", report.negation_average_mrr)):
+        if value is not None:
+            rows.append({**dict.fromkeys(_COLUMNS, ""), "structure": name, "mrr": value})
+    return rows
 
 
 def _cell(value) -> str:
@@ -475,18 +455,9 @@ def write_report_json(path: str, report: EvalReport, seconds: float | None = Non
     """The report's rollups and pair counts as JSON; with ``seconds``, the
     wall time it took and its queries per second too."""
     answers = sum(metrics.n_answers for metrics in report.per_structure.values())
+    per_structure = _report_rows(report)[:len(report.per_structure)]  # averages follow
     payload = {
-        "per_structure": {
-            tag: {
-                "queries": metrics.n_queries,
-                "answers": metrics.n_answers,
-                "mrr": metrics.mrr,
-                "hits1": metrics.hits1,
-                "hits3": metrics.hits3,
-                "hits10": metrics.hits10,
-            }
-            for tag, metrics in report.per_structure.items()
-        },
+        "per_structure": {row.pop("structure"): row for row in per_structure},
         "average_mrr": report.average_mrr,
         "negation_average_mrr": report.negation_average_mrr,
         "open_pairs": report.open_pairs,

@@ -418,6 +418,7 @@ def embed_structure(m: ModelParams, tag: str, anchors, relations) -> list[ConeBa
 #: 8 MB that 1 MB tiles make.  A taped forward's two buffers and the VJP's
 #: three come from ``_workspace``; taken from there, ranking's two measured
 #: slower in evaluation, so an untaped forward allocates its own.
+#: ``staged_distance32`` blocks its gathered rows by the same size.
 _TILE_BYTES = 1 << 18
 
 _workspace_cache = threading.local()
@@ -767,18 +768,25 @@ def staged_distance32(parts: Sequence[Outside32], rows, ids, cos32, sin32, lam: 
     with p_a one paired axis chord over the gathered float32 rows: the
     kernel's float32 arithmetic for that entry.  The disjuncts' min is taken
     as ``dnf_entity_distance`` takes it.  ``table32_error_bound`` bounds
-    each value's distance to the float64 one.
+    each value's distance to the float64 one.  The pairs run in blocks of
+    at most ``_TILE_BYTES`` per gathered (pairs, d) array, so the memory a
+    call takes does not grow with the number of pairs.
     """
     lam = float(lam)
-    ce, se = cos32[ids], sin32[ids]
-    buf, tmp = np.empty_like(ce), np.empty_like(ce)
-    dist = None
-    for part in parts:
-        p_a = _chord_l1(part.axis_cos[rows], part.axis_sin[rows], ce, se, buf, tmp)
-        p_ua = part.p_ua[rows]
-        out = part.table[rows, ids] + np.where(p_a <= p_ua, p_a, p_ua) * lam
-        # ad.minimum's choice, NaN included, so NaN entries match the float64 table's
-        dist = out if dist is None else np.where(dist <= out, dist, out)
+    step = max(1, _TILE_BYTES // (cos32.itemsize * cos32.shape[1]))
+    dist = np.empty(len(ids), np.float32)
+    for lo in range(0, len(ids), step):
+        rows_b, ids_b = rows[lo:lo + step], ids[lo:lo + step]
+        ce, se = cos32[ids_b], sin32[ids_b]
+        buf, tmp = np.empty_like(ce), np.empty_like(ce)
+        best = None
+        for part in parts:
+            p_a = _chord_l1(part.axis_cos[rows_b], part.axis_sin[rows_b], ce, se, buf, tmp)
+            p_ua = part.p_ua[rows_b]
+            out = part.table[rows_b, ids_b] + np.where(p_a <= p_ua, p_a, p_ua) * lam
+            # ad.minimum's choice, NaN included, so NaN entries match the float64 table's
+            best = out if best is None else np.where(best <= out, best, out)
+        dist[lo:lo + step] = best
     return dist
 
 

@@ -17,13 +17,13 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from itertools import chain
 
 import numpy as np
 
 from . import autodiff as ad
-from .model import ModelParams, ParameterStore, _drop_workspace, batch_loss
+from .model import ROTATION_MODES, ModelParams, ParameterStore, _drop_workspace, batch_loss
 from .queries import ALL_STRUCTURES, KnowledgeGraph, QueryInstance, sample_instance
 
 try:
@@ -111,8 +111,8 @@ class TrainingConfig:
             raise ValueError("lambda must be non-negative")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
-        if self.rotation_mode not in ("additive", "multiplicative"):
-            raise ValueError("rotation_mode must be 'additive' or 'multiplicative'")
+        if self.rotation_mode not in ROTATION_MODES:
+            raise ValueError(f"rotation_mode must be one of {ROTATION_MODES}")
 
 
 def parse_config_file(path: str) -> dict[str, object]:
@@ -486,6 +486,7 @@ class TrainingDiverged(RuntimeError):
 
 
 _EMA = 0.05  # weight of the newest batch in the running-loss averages
+_LOG_EVERY = 50  # steps between "train" log events
 
 
 def _memory_fields(start_faults: int) -> dict:
@@ -504,8 +505,7 @@ def train(instances, n_entities: int, n_relations: int, cfg: TrainingConfig, *,
           valid_instances=None, out_dir: str | None = None,
           state: TrainState | None = None,
           entity_names: list[str] | None = None,
-          relation_names: list[str] | None = None,
-          log_every: int = 50) -> tuple[TrainState, list[dict]]:
+          relation_names: list[str] | None = None) -> tuple[TrainState, list[dict]]:
     """Run the loop until ``cfg.steps`` (or early stopping) and return the
     final state plus a metrics log.
 
@@ -514,7 +514,8 @@ def train(instances, n_entities: int, n_relations: int, cfg: TrainingConfig, *,
     steps (and at the end); when ``valid_instances`` are given, validation
     MRR is computed every ``cfg.eval_every`` steps, the best state is kept in
     ``best.ckpt``, and the run stops after ``cfg.patience`` evaluations
-    without improvement.  ``"train"`` events also carry the process's peak
+    without improvement.  A ``"train"`` event is logged at the first and last
+    steps and every ``_LOG_EVERY`` steps; it also carries the process's peak
     RSS and its minor page faults since the call began, where the platform
     has ``resource``.
 
@@ -538,14 +539,13 @@ def train(instances, n_entities: int, n_relations: int, cfg: TrainingConfig, *,
         os.makedirs(out_dir, exist_ok=True)
 
     try:
-        return _train_loop(state, pools, tags, cfg, valid_instances, out_dir, log_every,
-                           start_faults)
+        return _train_loop(state, pools, tags, cfg, valid_instances, out_dir, start_faults)
     finally:
         _drop_workspace()
 
 
 def _train_loop(state: TrainState, pools, tags, cfg: TrainingConfig, valid_instances,
-                out_dir, log_every: int, start_faults: int) -> tuple[TrainState, list[dict]]:
+                out_dir, start_faults: int) -> tuple[TrainState, list[dict]]:
     log: list[dict] = []
     best_valid = -math.inf
     evals_since_best = 0
@@ -570,7 +570,7 @@ def _train_loop(state: TrainState, pools, tags, cfg: TrainingConfig, valid_insta
         prev = state.per_structure.get(tag)
         state.per_structure[tag] = loss if prev is None else (1.0 - _EMA) * prev + _EMA * loss
 
-        if state.step == 1 or state.step % log_every == 0 or state.step == cfg.steps:
+        if state.step == 1 or state.step % _LOG_EVERY == 0 or state.step == cfg.steps:
             log.append({"event": "train", "step": state.step, "structure": tag,
                         "loss": loss, "running_loss": state.running_loss,
                         **_memory_fields(start_faults)})
@@ -607,6 +607,10 @@ def _train_loop(state: TrainState, pools, tags, cfg: TrainingConfig, valid_insta
 
 CHECKPOINT_MAGIC = "conequery-checkpoint"
 CHECKPOINT_VERSION = 1
+
+#: The metadata entries ``load_checkpoint`` reads after the magic and version.
+_META_KEYS = ("n_entities", "n_relations", "d", "rotation_mode", "step", "running_loss",
+              "per_structure", "config", "rng_state", "entity_names", "relation_names")
 
 
 def save_checkpoint(path: str, state: TrainState) -> None:
@@ -653,16 +657,23 @@ def load_checkpoint(path: str) -> TrainState:
             raise ValueError(
                 f"{path}: unsupported checkpoint version {meta.get('version')!r}"
             )
+        missing = [key for key in _META_KEYS if key not in meta]
+        if missing:
+            raise ValueError(f"{path}: checkpoint metadata has no {missing[0]!r} entry")
         # Checkpoints written before shards always joined in order carry a
         # "deterministic" flag, which no longer changes anything.
         config = {k: v for k, v in meta["config"].items() if k != "deterministic"}
+        unknown = sorted(config.keys() - {f.name for f in fields(TrainingConfig)})
+        if unknown:
+            raise ValueError(f"{path}: unknown training config key {unknown[0]!r}")
         cfg = TrainingConfig(**config)
         store = ParameterStore(meta["n_entities"], meta["n_relations"], meta["d"],
                                seed=0, rotation_mode=meta["rotation_mode"])
-        expected = {"param." + name for name in store.arrays}
-        present = {key for key in npz.files if key.startswith("param.")}
+        expected = {"param." + name for name in store.arrays} | {
+            moment + name for moment in ("adam_m.", "adam_v.") for name in store.trainable_names()}
+        present = {key for key in npz.files if key.startswith(("param.", "adam_m.", "adam_v."))}
         if expected != present:
-            raise ValueError(f"{path}: parameter arrays do not match this model layout")
+            raise ValueError(f"{path}: parameter or Adam arrays do not match this model layout")
         for name in store.arrays:
             loaded = npz["param." + name]
             if loaded.shape != store.arrays[name].shape:
@@ -742,13 +753,16 @@ def _random_graph(rng: np.random.Generator, n_entities: int, n_relations: int,
     return KnowledgeGraph(sorted(triples), n_entities, n_relations)
 
 
-def gradient_check_model(n_instances: int = 20, d: int = 8, seed: int = 0, *,
-                         n_entities: int = 30, n_relations: int = 4,
-                         n_triples: int = 150) -> float:
+#: The gradient audit's random graph: entities, relations, triples.
+_AUDIT_GRAPH = (30, 4, 150)
+
+
+def gradient_check_model(n_instances: int = 20, d: int = 8, seed: int = 0) -> float:
     """Max relative error between analytic and finite-difference gradients of
     the complete loss, cycling through all query structures so projection,
-    intersection, negation, union and DNF paths are all exercised.  Each
-    instance is scored against 3 negatives at lam 0.02 and margin 2.
+    intersection, negation, union and DNF paths are all exercised.  The
+    instances are sampled from a random ``_AUDIT_GRAPH``, and each is scored
+    against 3 negatives at lam 0.02 and margin 2.
 
     Every parameter coordinate that can influence the loss is probed:
     embedding-table rows the instance never touches are skipped (their
@@ -762,7 +776,7 @@ def gradient_check_model(n_instances: int = 20, d: int = 8, seed: int = 0, *,
         raise ValueError("the gradient check needs at least one instance")
     lam, margin = 0.02, 2.0
     rng = np.random.default_rng(seed)
-    graph = _random_graph(rng, n_entities, n_relations, n_triples)
+    graph = _random_graph(rng, *_AUDIT_GRAPH)
     worst = 0.0
     checked = 0
     attempts = 0
@@ -774,12 +788,12 @@ def gradient_check_model(n_instances: int = 20, d: int = 8, seed: int = 0, *,
             if attempts > 50 * n_instances:
                 raise RuntimeError("could not sample enough toy instances")
             continue
-        store = ParameterStore(n_entities, n_relations, d, seed=seed + 101 + checked,
-                               margin=margin)
+        store = ParameterStore(graph.n_entities, graph.n_relations, d,
+                               seed=seed + 101 + checked, margin=margin)
         names = store.trainable_names()
         answers = instance.easy if instance.easy else instance.hard
         pos = np.array([answers[int(rng.integers(len(answers)))]], dtype=np.int64)
-        neg = sample_negatives(instance, 3, rng, n_entities).reshape(1, -1)
+        neg = sample_negatives(instance, 3, rng, graph.n_entities).reshape(1, -1)
         anchors = np.array([instance.anchors], dtype=np.int64)
         rels = np.array([instance.relations], dtype=np.int64)
 

@@ -520,6 +520,18 @@ def write_malformed_id_map(path, case) -> str:
     return _write_malformed(path, *MALFORMED_ID_MAPS[case])
 
 
+def rewrite_checkpoint(src, dst, edit) -> None:
+    """Copy the checkpoint at ``src`` to ``dst``, with ``edit(meta, arrays)``
+    applied in place to its metadata dict and its dict of arrays."""
+    with np.load(src) as npz:
+        payload = {key: npz[key] for key in npz.files}
+    meta = json.loads(payload["__meta__"].tobytes().decode("utf-8"))
+    edit(meta, payload)
+    payload["__meta__"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+    with open(dst, "wb") as fh:
+        np.savez(fh, **payload)
+
+
 # ---------------------------------------------------------------------------
 # the per-structure rollup as first written
 # ---------------------------------------------------------------------------

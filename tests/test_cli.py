@@ -13,13 +13,15 @@ import pytest
 
 from conequery.axioms import parse_ontology
 from conequery.cli import build_parser, main
+from conequery.model import ROTATION_MODES, ParameterStore
 from conequery.patterns import read_labels_tsv
 from conequery.queries import read_id_map, read_queries_jsonl
-from conequery.training import load_checkpoint
+from conequery.training import TrainingConfig, load_checkpoint
 
 from _helpers import (
     MALFORMED_ID_MAPS,
     MALFORMED_QUERY_FILES,
+    rewrite_checkpoint,
     write_malformed_id_map,
     write_malformed_query_file,
 )
@@ -227,6 +229,26 @@ class TestTrainEval:
                    "--test", str(data_dir / "test.jsonl")])
         assert rc == 1
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda meta, arrays: meta["config"].update(batch=64),
+         "unknown training config key 'batch'"),
+        (lambda meta, arrays: meta.pop("n_entities"),
+         "checkpoint metadata has no 'n_entities' entry"),
+        (lambda meta, arrays: arrays.pop("adam_v.entity_axis"),
+         "parameter or Adam arrays do not match this model layout"),
+    ], ids=["unknown-config-key", "missing-entry", "missing-array"])
+    def test_malformed_checkpoint_fails_cleanly(self, run_dir, data_dir, tmp_path, capsys,
+                                                caplog, edit, message):
+        path = tmp_path / "bad.ckpt"
+        rewrite_checkpoint(run_dir / "last.ckpt", path, edit)
+        with pytest.raises(ValueError) as exc:
+            load_checkpoint(str(path))
+        assert str(exc.value) == f"{path}: {message}"
+        rc = main(["eval", "--ckpt", str(path), "--test", str(data_dir / "test.jsonl")])
+        assert rc == 1
+        assert capsys.readouterr().out == ""
+        assert [r.getMessage() for r in caplog.records] == [f"{path}: {message}"]
+
 
 @pytest.fixture(scope="module")
 def labels_file(data_dir, tmp_path_factory):
@@ -361,6 +383,20 @@ class TestParserBehavior:
             main(argv)
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ROTATION_MODES + ("spiral", "Additive", ""))
+    def test_rotation_mode_accepted_exactly_where_listed(self, mode, capsys):
+        accepted = []
+        for build in (lambda: TrainingConfig(rotation_mode=mode),
+                      lambda: ParameterStore(3, 1, 2, rotation_mode=mode),
+                      lambda: build_parser().parse_args(
+                          ["train", "--data", "d", "--out", "o", "--rotation-mode", mode])):
+            try:
+                build()
+                accepted.append(True)
+            except (ValueError, SystemExit):
+                accepted.append(False)
+        assert accepted == [mode in ROTATION_MODES] * 3
 
     def test_console_script_installed(self):
         # the child does not inherit pytest's pythonpath, so it gets src too

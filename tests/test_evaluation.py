@@ -168,11 +168,12 @@ def test_evaluate_report_shape(toy_eval_set):
         assert report.negation_average_mrr is not None
 
 
-def test_evaluate_threads_deterministic(toy_eval_set):
+def test_evaluate_threads_deterministic(toy_eval_set, monkeypatch):
     kg, bundle = toy_eval_set
     store = ParameterStore(kg.n_entities, kg.n_relations, 16, seed=1)
-    a = evaluate_instances(store, bundle.test, lam=0.02, threads=1, chunk_size=3)
-    b = evaluate_instances(store, bundle.test, lam=0.02, threads=4, chunk_size=3)
+    monkeypatch.setattr(evaluation, "_CHUNK", 3)
+    a = evaluate_instances(store, bundle.test, lam=0.02, threads=1)
+    b = evaluate_instances(store, bundle.test, lam=0.02, threads=4)
     assert a.per_structure == b.per_structure
     assert a.average_mrr == b.average_mrr
 
@@ -209,10 +210,11 @@ def test_structure_rollup_equals_the_reference_on_random_ranks():
         assert _structure_rollup(results) == reference_structure_rollup(results)
 
 
-def test_evaluate_rollup_equals_the_per_structure_rescan(every_structure_set):
+def test_evaluate_rollup_equals_the_per_structure_rescan(every_structure_set, monkeypatch):
     kg, instances = every_structure_set
     store = ParameterStore(kg.n_entities, kg.n_relations, 16, seed=2)
-    report = evaluate_instances(store, instances, lam=0.02, chunk_size=3)
+    monkeypatch.setattr(evaluation, "_CHUNK", 3)
+    report = evaluate_instances(store, instances, lam=0.02)
     by_structure = [q for tag in ALL_STRUCTURES for q in instances if q.structure == tag]
     assert [res.query for res in report.results] == by_structure
     assert report.per_structure == {
@@ -233,14 +235,6 @@ def test_evaluate_random_embeddings_near_analytic_baseline(toy_eval_set):
         observed.append(report.per_structure["1p"].mrr)
     analytic = expected_random_mrr_for(test_1p, kg.n_entities)
     assert abs(float(np.mean(observed)) - analytic) < 0.05
-
-
-def test_evaluate_rejects_chunk_size_below_one(toy_eval_set):
-    kg, bundle = toy_eval_set
-    store = ParameterStore(kg.n_entities, kg.n_relations, 8, seed=0)
-    for bad in (0, -1):
-        with pytest.raises(ValueError, match="chunk_size"):
-            evaluate_instances(store, bundle.test, lam=0.02, chunk_size=bad)
 
 
 def test_evaluate_vocabulary_mismatch(toy_eval_set):
@@ -311,16 +305,17 @@ def _staged_table32(m, disjuncts, lam):
 @pytest.mark.parametrize("rows, lam", [  # the paper's lambda = 0.02 keeps the bare name
     pytest.param(rows, lam, id=rows if lam == 0.02 else f"{rows}-lam{lam:g}")
     for rows in ("random", "twins", "near-twins", "wide") for lam in (0.0, 0.02, 1.0)])
-def test_evaluate_ranks_equal_float64_table_ranks(every_structure_set, rows, lam):
+def test_evaluate_ranks_equal_float64_table_ranks(every_structure_set, monkeypatch, rows, lam):
     kg, instances = every_structure_set
     store = _store_with(kg, rows)
     m = store.tensors(None)
     points = entity_points(m, np.arange(kg.n_entities))
     want = _ranks_over(instances, m, lam,
                        lambda disjuncts: dnf_entity_distance(_wide(disjuncts), points, lam))
-    for chunk_size in (3, 128):
-        reports = [evaluate_instances(store, instances, lam=lam, threads=threads,
-                                      chunk_size=chunk_size) for threads in (1, 2)]
+    for chunk in (3, 128):
+        monkeypatch.setattr(evaluation, "_CHUNK", chunk)
+        reports = [evaluate_instances(store, instances, lam=lam, threads=threads)
+                   for threads in (1, 2)]
         for report in reports:
             by_query = {res.query: res.ranks for res in report.results}
             assert [by_query[q] for q in instances] == want
@@ -475,7 +470,10 @@ def test_report_writers(toy_eval_set, tmp_path):
     write_report_json(str(js), report)
     payload = json.loads(js.read_text())
     assert math.isclose(payload["average_mrr"], report.average_mrr)
-    assert set(payload["per_structure"]) == set(report.per_structure)
+    assert payload["per_structure"] == {
+        tag: {"queries": m.n_queries, "answers": m.n_answers, "mrr": m.mrr,
+              "hits1": m.hits1, "hits3": m.hits3, "hits10": m.hits10}
+        for tag, m in report.per_structure.items()}
     assert (payload["open_pairs"], payload["rescored_pairs"]) == (report.open_pairs,
                                                                   report.rescored_pairs)
     answers = sum(len(res.answers) for res in report.results)

@@ -892,6 +892,28 @@ def test_float32_table_within_its_error_bound(d, lam, n_disjuncts, seed):
     assert np.all(np.min(lows, axis=0) <= d32) and np.all(d32 <= np.min(tops, axis=0))
 
 
+def test_staged_distance32_memory_does_not_grow_with_its_pairs():
+    # 64 blocks of pairs: beside its float32 output, a call holds a few
+    # gathered blocks, never a (pairs, d) array
+    d, batch, n_entities = 64, 4, 50
+    disjuncts, m = _table_case(np.random.default_rng(31), d, 2, batch, n_entities)
+    cos32, sin32 = entity_table32(m)
+    parts = outside_tables32(disjuncts, cos32, sin32)
+    pairs = 64 * model._TILE_BYTES // (4 * d)
+    rows = np.arange(pairs) % batch
+    ids = np.arange(pairs) % n_entities
+    want = staged_distance32(parts, rows[:batch * n_entities], ids[:batch * n_entities],
+                             cos32, sin32, 0.02)
+    tracemalloc.start()
+    try:
+        dist = staged_distance32(parts, rows, ids, cos32, sin32, 0.02)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert dist.dtype == np.float32 and np.array_equal(dist[:batch * n_entities], want)
+    assert peak < dist.nbytes + 8 * model._TILE_BYTES
+
+
 def test_entity_table32_rounds_the_trig_of_every_wrapped_row():
     # read from the wrapped table directly, equal to gather, wrap, trig, cast
     store = toy_store()

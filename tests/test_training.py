@@ -3,7 +3,6 @@ determinism, descent, and the full-loss gradient audit."""
 
 import dataclasses
 import gc
-import json
 import math
 import os
 import tracemalloc
@@ -46,6 +45,7 @@ from _helpers import (
     reference_adam_step,
     reference_assemble_batch,
     reference_negatives,
+    rewrite_checkpoint,
 )
 
 TOY = dict(d=8, b=8, n=4, gamma=6.0, lr=5e-3, lam=0.02)
@@ -363,11 +363,11 @@ def _loop_cfg(**overrides):
     return TrainingConfig(**base)
 
 
-def test_train_runs_and_logs(tiny_dataset, tmp_path):
+def test_train_runs_and_logs(tiny_dataset, tmp_path, monkeypatch):
     instances, kg = tiny_dataset
     cfg = _loop_cfg()
-    state, log = train(instances, kg.n_entities, kg.n_relations, cfg,
-                       out_dir=str(tmp_path), log_every=10)
+    monkeypatch.setattr(training, "_LOG_EVERY", 10)
+    state, log = train(instances, kg.n_entities, kg.n_relations, cfg, out_dir=str(tmp_path))
     assert state.step == 40
     assert os.path.exists(tmp_path / "last.ckpt")
     steps = [rec["step"] for rec in log if rec["event"] == "train"]
@@ -396,24 +396,26 @@ def test_train_holds_one_step_of_memory(tiny_dataset):
     assert peak(20) < 3 * peak(1)
 
 
-def test_train_loss_decreases(tiny_dataset):
+def test_train_loss_decreases(tiny_dataset, monkeypatch):
     instances, kg = tiny_dataset
     cfg = TrainingConfig(**dict(TOY, b=32, lr=2e-2, steps=150, seed=0))
-    state, log = train(instances, kg.n_entities, kg.n_relations, cfg, log_every=1)
+    monkeypatch.setattr(training, "_LOG_EVERY", 1)
+    state, log = train(instances, kg.n_entities, kg.n_relations, cfg)
     losses = [rec["loss"] for rec in log if rec["event"] == "train"]
     head = float(np.mean(losses[:10]))
     tail = float(np.mean(losses[-10:]))
     assert tail < 0.7 * head, (head, tail)
 
 
-def test_same_seed_same_curve(tiny_dataset):
+def test_same_seed_same_curve(tiny_dataset, monkeypatch):
     instances, kg = tiny_dataset
     cfg = _loop_cfg(steps=25)
-    _, log_a = train(instances, kg.n_entities, kg.n_relations, cfg, log_every=1)
-    _, log_b = train(instances, kg.n_entities, kg.n_relations, cfg, log_every=1)
+    monkeypatch.setattr(training, "_LOG_EVERY", 1)
+    _, log_a = train(instances, kg.n_entities, kg.n_relations, cfg)
+    _, log_b = train(instances, kg.n_entities, kg.n_relations, cfg)
     assert [r["loss"] for r in log_a] == [r["loss"] for r in log_b]
     cfg2 = dataclasses.replace(cfg, seed=1)
-    _, log_c = train(instances, kg.n_entities, kg.n_relations, cfg2, log_every=1)
+    _, log_c = train(instances, kg.n_entities, kg.n_relations, cfg2)
     assert [r["loss"] for r in log_a] != [r["loss"] for r in log_c]
 
 
@@ -440,10 +442,11 @@ def test_train_drops_its_workspace(tiny_dataset):
     assert not vars(model._workspace_cache).get("pool")
 
 
-def test_train_events_report_memory(tiny_dataset):
+def test_train_events_report_memory(tiny_dataset, monkeypatch):
     pytest.importorskip("resource")
     instances, kg = tiny_dataset
-    _, log = train(instances, kg.n_entities, kg.n_relations, _loop_cfg(steps=4), log_every=2)
+    monkeypatch.setattr(training, "_LOG_EVERY", 2)
+    _, log = train(instances, kg.n_entities, kg.n_relations, _loop_cfg(steps=4))
     events = [e for e in log if e["event"] == "train"]
     assert [e["step"] for e in events] == [1, 2, 4]
     assert all(e["peak_rss_mb"] > 0 and e["minor_faults"] >= 0 for e in events)
@@ -650,13 +653,8 @@ def test_resume_from_checkpoint_with_deterministic_key(tiny_dataset, tmp_path):
     halfway, _ = train(instances, kg.n_entities, kg.n_relations, _loop_cfg(steps=15))
     path = str(tmp_path / "old.ckpt")
     save_checkpoint(path, halfway)
-    with np.load(path) as npz:
-        payload = {key: npz[key] for key in npz.files}
-    meta = json.loads(payload["__meta__"].tobytes().decode("utf-8"))
-    meta["config"]["deterministic"] = False
-    payload["__meta__"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
-    with open(path, "wb") as fh:
-        np.savez(fh, **payload)
+    rewrite_checkpoint(path, path,
+                       lambda meta, arrays: meta["config"].update(deterministic=False))
 
     loaded = load_checkpoint(path)
     assert loaded.config == halfway.config
@@ -706,7 +704,7 @@ def test_multi_seed_reports_spread(tiny_dataset):
 # full-loss gradient audit
 # ---------------------------------------------------------------------------
 
-def test_gradient_check_small_sample():
-    err = gradient_check_model(n_instances=3, d=4, seed=0, n_entities=12,
-                               n_relations=3, n_triples=60)
+def test_gradient_check_small_sample(monkeypatch):
+    monkeypatch.setattr(training, "_AUDIT_GRAPH", (12, 3, 60))
+    err = gradient_check_model(n_instances=3, d=4, seed=0)
     assert err < 1e-4, err
