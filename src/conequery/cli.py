@@ -30,6 +30,7 @@ import hashlib
 import json
 import logging
 import os
+import platform
 import sys
 import time
 from dataclasses import asdict, fields
@@ -123,6 +124,8 @@ def write_manifest(anchor: str | Path, *, command: str, config: dict,
         "outputs": _hash_paths(outputs),
         "started": started,
         "finished": _now(),
+        "environment": {"python": platform.python_version(), "numpy": np.__version__,
+                        "cpu_count": os.cpu_count()},
     }
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n",

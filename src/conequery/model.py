@@ -421,6 +421,13 @@ def embed_structure(m: ModelParams, tag: str, anchors, relations) -> list[ConeBa
 #: ``staged_distance32`` blocks its gathered rows by the same size.
 _TILE_BYTES = 1 << 18
 
+#: The largest buffer ``_workspace`` keeps.  It sits above every buffer the
+#: benchmark workloads request (wide-mix's (b, n, d) arrays are 2 MiB) and
+#: below the paper default's 400 MiB (b, n, d) arrays: at that size a step
+#: takes seconds, so faulting its arrays in again costs little, while
+#: keeping them raised its peak RSS by about 670 MB.
+_WORKSPACE_CAP = 64 << 20
+
 _workspace_cache = threading.local()
 
 
@@ -430,8 +437,12 @@ def _workspace(key: str, shape) -> np.ndarray:
     from one training step to the next, so the step's large arrays are not
     freed and faulted in again.  The view is valid until the thread's next
     request for ``key``; no op lets one escape (return values and ``.grad``
-    arrays are fresh).  ``_drop_workspace`` frees the thread's buffers."""
+    arrays are fresh).  A request over ``_WORKSPACE_CAP`` bytes gets a fresh
+    array instead, freed with its last reference.  ``_drop_workspace`` frees
+    the thread's buffers."""
     size = math.prod(shape)
+    if size * 8 > _WORKSPACE_CAP:
+        return np.empty(shape)
     pool = vars(_workspace_cache).setdefault("pool", {})
     buf = pool.get(key)
     if buf is None or buf.size < size:

@@ -16,6 +16,7 @@ import json
 import math
 import os
 import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 from itertools import chain
@@ -580,10 +581,13 @@ def _train_loop(state: TrainState, pools, tags, cfg: TrainingConfig, valid_insta
         if valid_instances and state.step % cfg.eval_every == 0:
             from .evaluation import evaluate_instances
 
+            t0 = time.perf_counter()
             report = evaluate_instances(state.store, valid_instances, lam=cfg.lam,
                                         threads=cfg.threads)
             log.append({"event": "valid", "step": state.step,
-                        "mrr": report.average_mrr})
+                        "mrr": report.average_mrr, "seconds": time.perf_counter() - t0,
+                        "open_pairs": report.open_pairs,
+                        "rescored_pairs": report.rescored_pairs})
             if report.average_mrr > best_valid:
                 best_valid = report.average_mrr
                 evals_since_best = 0

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import platform
 import shutil
 import subprocess
 import sys
@@ -73,6 +74,12 @@ class TestGenQueries:
         assert str(data_dir / "train.jsonl") in recorded
         for path, digest in recorded.items():
             assert file_hash(Path(path)) == digest
+
+    def test_manifest_records_the_environment(self, data_dir):
+        manifest = json.loads((data_dir / "manifest.json").read_text())
+        assert manifest["environment"] == {
+            "python": platform.python_version(), "numpy": np.__version__,
+            "cpu_count": os.cpu_count()}
 
     def test_rerun_is_byte_identical(self, data_dir, tmp_path):
         again = tmp_path / "data2"

@@ -431,6 +431,44 @@ def test_generate_dataset_same_with_recursive_walk_reference(monkeypatch):
         assert fast.shortfalls == slow.shortfalls
 
 
+# bounds of 2**31 + 1 and 3 * 2**30 reject about half and a quarter of words
+_DRAW_BOUNDS = (1, 2, 3, 5, 7, 1000, 2**31 + 1, 3 * 2**30, 2**32 - 1, 2**32)
+
+
+@pytest.mark.parametrize("block", [1, 7, None])
+def test_draw_stream_equals_generator_integers(monkeypatch, block):
+    if block is not None:
+        monkeypatch.setattr(queries, "_BLOCK", block)
+    draws = 3 * queries._BLOCK + 1000  # several refills at every block size
+    stream = queries._DrawStream(np.random.default_rng(5))
+    plain = np.random.default_rng(5)
+    for k in range(draws):
+        n = _DRAW_BOUNDS[k % len(_DRAW_BOUNDS)]
+        got = stream.integers(n)
+        assert type(got) is int
+        assert got == plain.integers(n), (k, n)
+
+
+@pytest.mark.parametrize("n", [0, -1, -(2**40)])
+def test_draw_stream_rejects_bounds_below_one(n):
+    stream = queries._DrawStream(np.random.default_rng(0))
+    with pytest.raises(ValueError):
+        np.random.default_rng(0).integers(n)
+    with pytest.raises(ValueError):
+        stream.integers(n)
+
+
+def test_generate_dataset_same_with_plain_generator(monkeypatch):
+    for seed in (0, 1, 2, 4):
+        with monkeypatch.context() as patch:
+            fast = _toy_bundle(seed=seed)
+            patch.setattr(queries, "_DrawStream", lambda rng: rng)
+            slow = _toy_bundle(seed=seed)
+        for split in ("train", "valid", "test"):
+            assert getattr(fast, split) == getattr(slow, split)
+        assert fast.shortfalls == slow.shortfalls
+
+
 def test_walk_rejects_negation_outside_an_intersection():
     rng = np.random.default_rng(0)
     graph = KnowledgeGraph([(0, 0, 1)], 2, 1)

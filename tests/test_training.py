@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conequery import model, training
+from conequery.evaluation import evaluate_instances
 from conequery.model import ParameterStore
 from conequery.planted import build_planted_kg
 from conequery.queries import (
@@ -453,6 +454,20 @@ def test_train_events_report_memory(tiny_dataset, monkeypatch):
     assert events[0]["minor_faults"] <= events[-1]["minor_faults"]
 
 
+def test_valid_events_report_eval_cost(tiny_dataset):
+    instances, kg = tiny_dataset
+    valid = [QueryInstance("1p", (h,), (r,), (), (t,)) for h, r, t in kg.valid[:6]]
+    cfg = _loop_cfg(steps=4, eval_every=2)
+    state, log = train(instances, kg.n_entities, kg.n_relations, cfg, valid_instances=valid)
+    events = [e for e in log if e["event"] == "valid"]
+    assert [e["step"] for e in events] == [2, 4]
+    assert all(e["seconds"] > 0 for e in events)
+    # the last evaluation ran on the final store
+    report = evaluate_instances(state.store, valid, lam=cfg.lam)
+    assert (events[-1]["mrr"], events[-1]["open_pairs"], events[-1]["rescored_pairs"]) == (
+        report.average_mrr, report.open_pairs, report.rescored_pairs)
+
+
 def _batch(tiny_dataset, seed):
     instances, kg = tiny_dataset
     pool = training._StructurePool(instances, kg.n_entities)
@@ -475,6 +490,26 @@ def test_batch_gradients_survive_the_next_step(tiny_dataset):
     assert not np.array_equal(first["entity_axis"], second["entity_axis"])
     for name, g in first.items():
         assert np.array_equal(g, kept[name]), name
+
+
+def test_workspace_keeps_no_buffer_over_its_cap(tiny_dataset, monkeypatch):
+    _, kg = tiny_dataset
+    store = ParameterStore(kg.n_entities, kg.n_relations, 8, seed=2)
+    batch = _batch(tiny_dataset, 0)
+    model._drop_workspace()
+    loss, grads = batch_loss_and_grads(store, "1p", *batch, lam=0.5)
+    # the negatives' (b, n, d) arrays are 16 * 8 * 8 * 8 bytes
+    cap = 16 * 8 * 8 * 8 // 2
+    assert max(buf.nbytes for buf in model._workspace_cache.pool.values()) > cap
+    model._drop_workspace()
+    monkeypatch.setattr(model, "_WORKSPACE_CAP", cap)
+    capped_loss, capped = batch_loss_and_grads(store, "1p", *batch, lam=0.5)
+    pool = model._workspace_cache.pool
+    assert pool and all(buf.nbytes <= cap for buf in pool.values())
+    assert capped_loss == loss
+    for name, g in grads.items():
+        assert np.array_equal(capped[name], g), name
+    model._drop_workspace()
 
 
 def test_train_rejects_empty():
