@@ -412,8 +412,11 @@ def gather(table, idx):
 # ---------------------------------------------------------------------------
 
 
-def grad_check(f, xs: Sequence[np.ndarray], step: float = 1e-5,
-               coords: Sequence | None = None,
+#: ``grad_check``'s finite-difference step.
+_STEP = 1e-5
+
+
+def grad_check(f, xs: Sequence[np.ndarray], coords: Sequence | None = None,
                subgradient: bool = False,
                zero_floor: float = 0.0) -> float:
     """Max relative disagreement between analytic and central-difference grads.
@@ -431,13 +434,13 @@ def grad_check(f, xs: Sequence[np.ndarray], step: float = 1e-5,
     differences carry no information across a kink of |.|, min or clamp; at
     such points the valid check is that the analytic gradient is a
     subgradient, i.e. inside the one-sided-slope interval.  On smooth
-    coordinates that interval is only O(step) wide, so the relaxation stays
-    as sharp as the central-difference test.
+    coordinates that interval is only O(``_STEP``) wide, so the relaxation
+    stays as sharp as the central-difference test.
 
     ``zero_floor`` bounds the method's resolution: central differences read
-    a gradient as (f(x+h)-f(x-h))/2h, so one ulp of noise on f becomes
-    eps*|f|/step of noise on the quotient (~3e-10 for a loss of magnitude
-    10 at the default step), and a coordinate whose true gradient sits at
+    a gradient as (f(x+h)-f(x-h))/2h with h = ``_STEP``, so one ulp of noise
+    on f becomes eps*|f|/h of noise on the quotient (~3e-10 for a loss of
+    magnitude 10), and a coordinate whose true gradient sits at
     that scale yields a relative error near 1 against any analytic value,
     correct or not.  Coordinates where analytic and numeric are both below
     the floor are therefore counted as agreeing zeros.  The default of 0
@@ -458,18 +461,18 @@ def grad_check(f, xs: Sequence[np.ndarray], step: float = 1e-5,
         probe = range(flat.size) if coords is None or coords[i] is None else coords[i]
         for j in probe:
             bumped = flat.copy()
-            bumped[j] += step
+            bumped[j] += _STEP
             hi = float(values_of(f(*_swap(xs, i, bumped.reshape(x.shape)))))
-            bumped[j] -= 2.0 * step
+            bumped[j] -= 2.0 * _STEP
             lo = float(values_of(f(*_swap(xs, i, bumped.reshape(x.shape)))))
-            numeric = (hi - lo) / (2.0 * step)
+            numeric = (hi - lo) / (2.0 * _STEP)
             a = float(analytic.reshape(-1)[j])
             if max(abs(a), abs(numeric)) <= zero_floor:
                 continue
             err = abs(a - numeric) / (abs(a) + abs(numeric) + 1e-12)
             if subgradient and err > 0.0:
-                s_hi = (hi - base) / step
-                s_lo = (base - lo) / step
+                s_hi = (hi - base) / _STEP
+                s_lo = (base - lo) / _STEP
                 side_lo, side_hi = min(s_lo, s_hi), max(s_lo, s_hi)
                 gap = max(side_lo - a, a - side_hi, 0.0)
                 err = min(err, gap / (abs(a) + max(abs(side_lo), abs(side_hi)) + 1e-12))

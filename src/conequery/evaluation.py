@@ -25,13 +25,14 @@ from itertools import chain
 
 import numpy as np
 
+from .cones import wrap_angle
 from .model import (
     ConeBatch,
     ParameterStore,
+    _as_points,
     _cone_trig,
     _dnf_distance,
     embed_structure,
-    entity_points,
     entity_table32,
     outside_tables32,
     staged_distance32,
@@ -199,7 +200,8 @@ def _rescore(m, disjuncts, rows, ids, lam: float) -> np.ndarray:
     """Float64 distances from chunk query ``rows[k]`` (rows of the (chunk,
     d) ``disjuncts``) to entity ``ids[k]``.  Each disjunct's cone trig is
     taken once, and paired fused-distance calls over blocks of at most
-    ``_RESCORE_BYTES`` per (pairs, d) array gather its rows."""
+    ``_RESCORE_BYTES`` per (pairs, d) array gather its rows and the cos and
+    sin of their entities' wrapped rows (the values of ``entity_points``)."""
     trigs = [_cone_trig(c.axis, c.aperture) for c in disjuncts]
     step = max(1, _RESCORE_BYTES // (8 * m.d))
     out = np.empty(len(ids))
@@ -208,7 +210,7 @@ def _rescore(m, disjuncts, rows, ids, lam: float) -> np.ndarray:
         at = rows[span]
         cones = [ConeBatch(c.axis[at], c.aperture[at]) for c in disjuncts]
         out[span] = _dnf_distance(cones, [[x[at] for x in trig] for trig in trigs],
-                                  entity_points(m, ids[span]), lam)
+                                  _as_points(wrap_angle(m.entity_axis[ids[span]])), lam)
     return out
 
 
@@ -311,7 +313,7 @@ def evaluate_instances(store: ParameterStore, instances, *, lam: float,
         raise ValueError("nothing to evaluate")
     _validate_vocabulary(store, instances)
     lam = float(lam)
-    bound = table32_error_bound(store.d, lam)
+    bound = table32_error_bound(store.d, lam)  # rejects a negative or non-finite lam
     m = store.tensors(None)
     cos32, sin32 = entity_table32(m)  # (n_entities, d) each
 

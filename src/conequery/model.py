@@ -24,7 +24,7 @@ from __future__ import annotations
 import functools
 import math
 import threading
-from dataclasses import dataclass
+import types
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -88,10 +88,15 @@ class ConeBatch(NamedTuple):
 # ---------------------------------------------------------------------------
 
 
-def _net_shapes(d: int) -> dict[str, tuple[int, ...]]:
-    """Intersection-network arrays: an attention MLP (2d -> 2d -> d) and a
-    DeepSets pair (inner 2d -> d -> d, outer d -> d -> d)."""
+def _shapes(n_entities: int, n_relations: int, d: int) -> dict[str, tuple[int, ...]]:
+    """Every parameter array's shape, in the fixed order that seeding and
+    checkpoints rely on: entity angles, relation axis and aperture, the
+    intersection network (an attention MLP 2d -> 2d -> d and a DeepSets pair,
+    inner 2d -> d -> d and outer d -> d -> d), then the margin."""
     return {
+        "entity_axis": (n_entities, d),
+        "relation_axis": (n_relations, d),
+        "relation_aperture": (n_relations, d),
         "attn_w1": (2 * d, 2 * d),
         "attn_b1": (2 * d,),
         "attn_w2": (2 * d, d),
@@ -104,6 +109,7 @@ def _net_shapes(d: int) -> dict[str, tuple[int, ...]]:
         "ds_out_b1": (d,),
         "ds_out_w2": (d, d),
         "ds_out_b2": (d,),
+        "margin": (1,),
     }
 
 
@@ -112,42 +118,24 @@ def _check_sizes(n_entities: int, n_relations: int, d: int) -> None:
         raise ValueError("n_entities, n_relations, d must be positive")
 
 
-@dataclass
-class ModelParams:
+class ModelParams(types.SimpleNamespace):
     """A view of the parameter arrays, either plain numpy (evaluation) or
-    tape-backed tensors (training).  Produced by ``ParameterStore.tensors``."""
-
-    d: int
-    rotation_mode: str
-    entity_axis: object
-    relation_axis: object
-    relation_aperture: object
-    attn_w1: object
-    attn_b1: object
-    attn_w2: object
-    attn_b2: object
-    ds_in_w1: object
-    ds_in_b1: object
-    ds_in_w2: object
-    ds_in_b2: object
-    ds_out_w1: object
-    ds_out_b1: object
-    ds_out_w2: object
-    ds_out_b2: object
+    tape-backed tensors (training): ``d``, ``rotation_mode`` and one
+    attribute per trainable ``_shapes`` name.  Produced by
+    ``ParameterStore.tensors``."""
 
 
 class ParameterStore:
-    """Owns every parameter array of one model instance.
+    """Owns every parameter array of one model instance, shaped and ordered
+    by ``_shapes``:
 
-    Arrays (in fixed order, which seeding and checkpoints rely on):
-
-    - ``entity_axis``        (n_entities, d) entity point angles, raw;
-      wrapped into [-pi, pi) on read
-    - ``relation_axis``      (n_relations, d) rotation angles, raw; wrapped
-    - ``relation_aperture``  (n_relations, d) aperture offsets, raw; read
-      through absolute value so the offset is always >= 0
-    - intersection-network weights (see ``_net_shapes``)
-    - ``margin``             (1,) the fixed loss margin, carried with the
+    - ``entity_axis``        entity point angles, raw; wrapped into
+      [-pi, pi) on read
+    - ``relation_axis``      rotation angles, raw; wrapped
+    - ``relation_aperture``  aperture offsets, raw; read through absolute
+      value so the offset is always >= 0
+    - intersection-network weights (Glorot-uniform) and biases (zero)
+    - ``margin``             the fixed loss margin, carried with the
       parameters (and counted in audits) but never updated by the optimizer
     """
 
@@ -162,18 +150,19 @@ class ParameterStore:
         self.d = int(d)
         self.rotation_mode = rotation_mode
         rng = np.random.default_rng(seed)
-        self.arrays: dict[str, np.ndarray] = {
-            "entity_axis": rng.uniform(-PI, PI, size=(n_entities, d)),
-            "relation_axis": rng.uniform(-PI, PI, size=(n_relations, d)),
-            "relation_aperture": rng.uniform(0.0, PI / 16.0, size=(n_relations, d)),
-        }
-        for name, shape in _net_shapes(d).items():
-            if name.endswith(("b1", "b2")):
+        self.arrays: dict[str, np.ndarray] = {}
+        for name, shape in _shapes(self.n_entities, self.n_relations, self.d).items():
+            if name in ("entity_axis", "relation_axis"):
+                self.arrays[name] = rng.uniform(-PI, PI, size=shape)
+            elif name == "relation_aperture":
+                self.arrays[name] = rng.uniform(0.0, PI / 16.0, size=shape)
+            elif name == "margin":
+                self.arrays[name] = np.full(shape, float(margin))
+            elif name.endswith(("b1", "b2")):
                 self.arrays[name] = np.zeros(shape)
             else:
                 bound = math.sqrt(6.0 / (shape[0] + shape[1]))
                 self.arrays[name] = rng.uniform(-bound, bound, size=shape)
-        self.arrays["margin"] = np.array([float(margin)])
 
     @property
     def margin(self) -> float:
@@ -809,7 +798,7 @@ def table32_error_bound(d: int, lam: float) -> tuple[float, float]:
     """(c0, c1) with |D32 - D64| <= c0 + c1 * D32 for every computed D32 of
     ``staged_distance32`` and the float64 ``dnf_entity_distance`` D64 of
     the same (query, entity): c0 = 8 d u (1 + lam), c1 = 2 (d + 4) u, with
-    u = 2^-24 and lam >= 0, for any summation order of the row sums.  It
+    u = 2^-24 and finite lam >= 0, for any summation order of the row sums.  It
     bounds computed D32 values only: the ends of ``outside_tables32``'s
     bracket are not distances, and a ranker that decides an entity from
     them compares the D32 they bracket.
@@ -842,8 +831,8 @@ def table32_error_bound(d: int, lam: float) -> tuple[float, float]:
        min, because t -> t -/+ (c0 + c1 t) is increasing.
     """
     lam = float(lam)
-    if lam < 0.0:
-        raise ValueError("lambda must be non-negative")
+    if not 0.0 <= lam < math.inf:
+        raise ValueError("lambda must be non-negative and finite")
     if (d + 4) * _U32 > 0.01:
         raise ValueError(f"d={d} is too large for the float32 distance table's bound")
     return 8 * d * _U32 * (1.0 + lam), 2 * (d + 4) * _U32
@@ -893,17 +882,18 @@ def batch_loss(m: ModelParams, tag: str, anchors, relations, positives, negative
 
 
 def param_breakdown(n_entities: int, n_relations: int, d: int) -> dict[str, int]:
-    """Itemized scalar-parameter arithmetic of a ``ParameterStore`` (no
-    arrays are allocated): entity angles n_entities*d; relation axis and
-    aperture 2*n_relations*d; intersection net 11*d^2+7*d (attention MLP
-    6d^2+3d, DeepSets 5d^2+4d); plus the stored margin scalar.
-    """
+    """Itemized scalar-parameter count of a ``ParameterStore``, summed from
+    ``_shapes`` (no arrays are allocated): entity angles; relation axis and
+    aperture; the intersection net (11 d^2 + 7 d); the stored margin."""
     _check_sizes(n_entities, n_relations, d)
+    size = {name: math.prod(s) for name, s in _shapes(n_entities, n_relations, d).items()}
+    entity, axis, aperture, margin = (size.pop(name) for name in (
+        "entity_axis", "relation_axis", "relation_aperture", "margin"))
     parts = {
-        "entity_angles": n_entities * d,
-        "relation_angles": 2 * n_relations * d,
-        "intersection_net": sum(math.prod(s) for s in _net_shapes(d).values()),
-        "margin_scalar": 1,
+        "entity_angles": entity,
+        "relation_angles": axis + aperture,
+        "intersection_net": sum(size.values()),
+        "margin_scalar": margin,
     }
     parts["total"] = sum(parts.values())
     return parts

@@ -61,12 +61,17 @@ class PlantedKG:
         return self.train + self.valid + self.test
 
 
-def _split_three(rng: np.random.Generator, items: list, valid_frac: float,
-                 test_frac: float) -> tuple[list, list, list]:
+#: Persons per colleague team, and the chance that two teammates are colleagues.
+_TEAM_SIZE, _PAIR_KEEP = 5, 0.6
+#: Shares of each pattern's held-out edges sent to valid and to test.
+_VALID_FRAC, _TEST_FRAC = 0.12, 0.18
+
+
+def _split_three(rng: np.random.Generator, items: list) -> tuple[list, list, list]:
     """Deterministically split items into (kept, valid, test)."""
     order = rng.permutation(len(items))
-    n_valid = int(round(valid_frac * len(items)))
-    n_test = int(round(test_frac * len(items)))
+    n_valid = int(round(_VALID_FRAC * len(items)))
+    n_test = int(round(_TEST_FRAC * len(items)))
     valid = [items[i] for i in order[:n_valid]]
     test = [items[i] for i in order[n_valid:n_valid + n_test]]
     kept = [items[i] for i in order[n_valid + n_test:]]
@@ -74,17 +79,14 @@ def _split_three(rng: np.random.Generator, items: list, valid_frac: float,
 
 
 def build_planted_kg(seed: int = 0, n_persons: int = 140, n_orgs: int = 40,
-                     n_cities: int = 20, team_size: int = 5,
-                     pair_keep: float = 0.6,
-                     valid_frac: float = 0.12,
-                     test_frac: float = 0.18) -> PlantedKG:
+                     n_cities: int = 20) -> PlantedKG:
     """Build the planted graph and its pattern-aware split.
 
     Persons occupy ids [0, n_persons), orgs the next n_orgs ids, cities the
     last n_cities.  Deterministic under ``seed``.
     """
-    if n_persons % team_size:
-        raise ValueError("n_persons must be divisible by team_size")
+    if n_persons % _TEAM_SIZE:
+        raise ValueError(f"n_persons must be divisible by the team size {_TEAM_SIZE}")
     rng = np.random.default_rng(seed)
     persons = range(n_persons)
     orgs = range(n_persons, n_persons + n_orgs)
@@ -98,13 +100,13 @@ def build_planted_kg(seed: int = 0, n_persons: int = 140, n_orgs: int = 40,
     # --- colleague: symmetric cliques, subsampled so the relation is
     # symmetric but not transitive ------------------------------------------
     sym_pairs: list[tuple[int, int]] = []
-    for team_start in range(0, n_persons, team_size):
-        members = list(range(team_start, team_start + team_size))
+    for team_start in range(0, n_persons, _TEAM_SIZE):
+        members = list(range(team_start, team_start + _TEAM_SIZE))
         for i, a in enumerate(members):
             for b in members[i + 1:]:
-                if rng.random() < pair_keep:
+                if rng.random() < _PAIR_KEEP:
                     sym_pairs.append((a, b))
-    kept, v_pairs, t_pairs = _split_three(rng, sym_pairs, valid_frac, test_frac)
+    kept, v_pairs, t_pairs = _split_three(rng, sym_pairs)
     for a, b in kept:
         train.append((a, COLLEAGUE, b))
         train.append((b, COLLEAGUE, a))
@@ -127,7 +129,7 @@ def build_planted_kg(seed: int = 0, n_persons: int = 140, n_orgs: int = 40,
                 continue
             seen.add((int(a), b))
             inv_pairs.append((int(a), b))
-    kept, v_pairs, t_pairs = _split_three(rng, inv_pairs, valid_frac, test_frac)
+    kept, v_pairs, t_pairs = _split_three(rng, inv_pairs)
     for a, b in kept:
         train.append((a, ADVISES, b))
         train.append((b, ADVISED_BY, a))
@@ -149,7 +151,7 @@ def build_planted_kg(seed: int = 0, n_persons: int = 140, n_orgs: int = 40,
     for o in orgs:
         train.append((o, LOCATED_IN, city_of[o]))
     composed = [(p, WORKS_IN, city_of[org_of[p]]) for p in persons]
-    kept, v_edges, t_edges = _split_three(rng, composed, valid_frac, test_frac)
+    kept, v_edges, t_edges = _split_three(rng, composed)
     train.extend(kept)
     valid.extend(v_edges)
     test.extend(t_edges)

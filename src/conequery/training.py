@@ -61,20 +61,6 @@ PROFILES: dict[str, dict[str, object]] = {
     "toy": {"d": 32, "b": 64, "n": 16},
 }
 
-# config-file key -> (dataclass field, parser).  "lambda" maps to "lam"
-# because of the Python keyword.
-_CONFIG_FILE_KEYS: dict[str, tuple[str, type]] = {
-    "d": ("d", int),
-    "b": ("b", int),
-    "n": ("n", int),
-    "gamma": ("gamma", float),
-    "lr": ("lr", float),
-    "lambda": ("lam", float),
-    "seed": ("seed", int),
-    "steps": ("steps", int),
-}
-
-
 @dataclass(frozen=True)
 class TrainingConfig:
     """The hyperparameter surface.
@@ -82,7 +68,7 @@ class TrainingConfig:
     ``d`` embedding dimensions, ``b`` batch size, ``n`` negatives per
     instance, ``gamma`` loss margin, ``lr`` Adam step size, ``lam`` weight of
     the inside-cone distance term.  The remaining knobs control the loop
-    itself and are CLI-only.
+    itself.
     """
 
     d: int = 800
@@ -104,12 +90,12 @@ class TrainingConfig:
                      "patience", "threads"):
             if int(getattr(self, name)) < 1:
                 raise ValueError(f"{name} must be a positive integer")
-        if self.gamma <= 0.0:
-            raise ValueError("gamma (margin) must be positive")
-        if self.lr <= 0.0:
-            raise ValueError("lr must be positive")
-        if self.lam < 0.0:
-            raise ValueError("lambda must be non-negative")
+        if not 0.0 < self.gamma < math.inf:
+            raise ValueError("gamma (margin) must be positive and finite")
+        if not 0.0 < self.lr < math.inf:
+            raise ValueError("lr must be positive and finite")
+        if not 0.0 <= self.lam < math.inf:
+            raise ValueError("lambda must be non-negative and finite")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
         if self.rotation_mode not in ROTATION_MODES:
@@ -119,9 +105,13 @@ class TrainingConfig:
 def parse_config_file(path: str) -> dict[str, object]:
     """Read a key=value config file into a dict of TrainingConfig overrides.
 
-    Recognised keys: d, b, n, gamma, lr, lambda, seed, steps.  Blank lines
-    and #-comments (full-line or trailing) are ignored.
+    Every ``TrainingConfig`` field is a key, named as the field except
+    ``lam``, whose key is ``lambda``; each value is cast to the type of the
+    field's default.  Blank lines and #-comments (full-line or trailing) are
+    ignored.
     """
+    keys = {"lambda" if f.name == "lam" else f.name: (f.name, type(f.default))
+            for f in fields(TrainingConfig)}
     overrides: dict[str, object] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -132,12 +122,13 @@ def parse_config_file(path: str) -> dict[str, object]:
             if not sep:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
             key, value = key.strip(), value.strip()
-            if key not in _CONFIG_FILE_KEYS:
-                known = ", ".join(sorted(_CONFIG_FILE_KEYS))
+            if key not in keys:
+                known = ", ".join(sorted(keys))
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r} (known: {known})")
-            name, cast = _CONFIG_FILE_KEYS[key]
+            name, cast = keys[key]
             try:
                 overrides[name] = cast(value)
+                TrainingConfig(**{name: overrides[name]})  # the field's own checks
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: bad {key} value {value!r}") from exc
     return overrides
@@ -510,7 +501,9 @@ def train(instances, n_entities: int, n_relations: int, cfg: TrainingConfig, *,
     """Run the loop until ``cfg.steps`` (or early stopping) and return the
     final state plus a metrics log.
 
-    Pass ``state`` to resume from a checkpoint.  With ``out_dir`` set, the
+    Pass ``state`` to resume from a checkpoint; ``cfg`` then becomes its
+    config, and must match its store's sizes, ``d``, ``gamma`` (the stored
+    margin) and ``rotation_mode``.  With ``out_dir`` set, the
     newest state is written to ``last.ckpt`` every ``cfg.checkpoint_every``
     steps (and at the end); when ``valid_instances`` are given, validation
     MRR is computed every ``cfg.eval_every`` steps, the best state is kept in
@@ -536,6 +529,16 @@ def train(instances, n_entities: int, n_relations: int, cfg: TrainingConfig, *,
     if state is None:
         state = init_state(cfg, n_entities, n_relations,
                            entity_names=entity_names, relation_names=relation_names)
+    else:
+        s = state.store
+        for name, given, held in (("n_entities", n_entities, s.n_entities),
+                                  ("n_relations", n_relations, s.n_relations), ("d", cfg.d, s.d),
+                                  ("gamma", cfg.gamma, s.margin),
+                                  ("rotation_mode", cfg.rotation_mode, s.rotation_mode)):
+            if given != held:
+                raise ValueError(f"cannot resume with {name} {given!r}: "
+                                 f"the state was trained with {held!r}")
+        state.config = cfg
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
 
@@ -765,8 +768,9 @@ def gradient_check_model(n_instances: int = 20, d: int = 8, seed: int = 0) -> fl
     """Max relative error between analytic and finite-difference gradients of
     the complete loss, cycling through all query structures so projection,
     intersection, negation, union and DNF paths are all exercised.  The
-    instances are sampled from a random ``_AUDIT_GRAPH``, and each is scored
-    against 3 negatives at lam 0.02 and margin 2.
+    instances are sampled from a random ``_AUDIT_GRAPH``, and each is scored,
+    as a one-instance training batch drawn by ``_StructurePool``, against 3
+    negatives at lam 0.02 and margin 2.
 
     Every parameter coordinate that can influence the loss is probed:
     embedding-table rows the instance never touches are skipped (their
@@ -795,11 +799,7 @@ def gradient_check_model(n_instances: int = 20, d: int = 8, seed: int = 0) -> fl
         store = ParameterStore(graph.n_entities, graph.n_relations, d,
                                seed=seed + 101 + checked, margin=margin)
         names = store.trainable_names()
-        answers = instance.easy if instance.easy else instance.hard
-        pos = np.array([answers[int(rng.integers(len(answers)))]], dtype=np.int64)
-        neg = sample_negatives(instance, 3, rng, graph.n_entities).reshape(1, -1)
-        anchors = np.array([instance.anchors], dtype=np.int64)
-        rels = np.array([instance.relations], dtype=np.int64)
+        anchors, rels, pos, neg = _StructurePool([instance], graph.n_entities).draw(rng, 1, 3)
 
         def f(*leaves):
             m = ModelParams(d=d, rotation_mode=store.rotation_mode,

@@ -246,6 +246,16 @@ def test_evaluate_vocabulary_mismatch(toy_eval_set):
         evaluate_instances(small, [], lam=0.02)
 
 
+@pytest.mark.parametrize("lam", [math.nan, math.inf])
+def test_evaluate_rejects_non_finite_lambda(toy_eval_set, lam):
+    # a NaN or infinite lam made every distance compare false or equal,
+    # which ranked every answer first
+    kg, bundle = toy_eval_set
+    store = ParameterStore(kg.n_entities, kg.n_relations, 8, seed=0)
+    with pytest.raises(ValueError, match="finite"):
+        evaluate_instances(store, bundle.test, lam=lam)
+
+
 # ---------------------------------------------------------------------------
 # exact ranks from the float32 table
 # ---------------------------------------------------------------------------

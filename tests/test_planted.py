@@ -132,7 +132,7 @@ def test_deterministic_under_seed():
 
 def test_rejects_bad_team_size():
     with pytest.raises(ValueError):
-        build_planted_kg(n_persons=141, team_size=5)
+        build_planted_kg(n_persons=141)
 
 
 def test_patterns_metadata(kg):

@@ -86,11 +86,21 @@ def test_config_file_parsing(tmp_path):
                          "lam": 0.1, "seed": 9, "steps": 77}
 
 
-@pytest.mark.parametrize("line", ["mystery = 3", "d 16", "d = sixteen"])
+def test_config_file_sets_every_field(tmp_path):
+    path = tmp_path / "loop.toml"
+    path.write_text("rotation_mode = multiplicative\nthreads = 2\ncheckpoint_every = 7\n"
+                    "eval_every = 9\npatience = 3\n")
+    cfg = resolve_config(file_overrides=parse_config_file(str(path)))
+    assert (cfg.rotation_mode, cfg.threads, cfg.checkpoint_every, cfg.eval_every,
+            cfg.patience) == ("multiplicative", 2, 7, 9, 3)
+
+
+@pytest.mark.parametrize("line", ["mystery = 3", "d 16", "d = sixteen",
+                                  "lambda = nan", "rotation_mode = affine", "threads = 0"])
 def test_config_file_rejects_bad_lines(tmp_path, line):
     path = tmp_path / "bad.toml"
     path.write_text(line + "\n")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=f"{path}:1"):
         parse_config_file(str(path))
 
 
@@ -114,6 +124,7 @@ def test_unknown_profile_rejected():
 @pytest.mark.parametrize("field,value", [
     ("d", 0), ("b", -1), ("n", 0), ("steps", 0), ("gamma", 0.0),
     ("lr", -1e-4), ("lam", -0.1), ("seed", -1), ("rotation_mode", "affine"),
+    ("lam", math.nan), ("lam", math.inf), ("gamma", math.inf), ("lr", math.nan),
 ])
 def test_config_validation(field, value):
     with pytest.raises(ValueError):
@@ -676,6 +687,33 @@ def test_resume_equals_uninterrupted(tiny_dataset, tmp_path):
     for name, arr in straight.store.arrays.items():
         assert np.array_equal(resumed.store.arrays[name], arr), name
     assert resumed.rng.bit_generator.state == straight.rng.bit_generator.state
+
+
+# what differs from the state's model, and the config change that makes it
+# differ (the two sizes are train() arguments, raised by one)
+_OTHER_MODEL = {"d": dict(d=16), "gamma": dict(gamma=5.0),
+                "rotation_mode": dict(rotation_mode="multiplicative"),
+                "n_entities": {}, "n_relations": {}}
+
+
+@pytest.mark.parametrize("name", list(_OTHER_MODEL))
+def test_resume_rejects_a_state_of_another_model(tiny_dataset, name):
+    instances, kg = tiny_dataset
+    halfway, _ = train(instances, kg.n_entities, kg.n_relations, _loop_cfg(steps=5))
+    n_entities = kg.n_entities + (name == "n_entities")
+    n_relations = kg.n_relations + (name == "n_relations")
+    with pytest.raises(ValueError, match=name):
+        train(instances, n_entities, n_relations, _loop_cfg(steps=10, **_OTHER_MODEL[name]),
+              state=halfway)
+    assert halfway.step == 5
+
+
+def test_resume_adopts_the_new_config(tiny_dataset):
+    instances, kg = tiny_dataset
+    state, _ = train(instances, kg.n_entities, kg.n_relations, _loop_cfg(steps=5))
+    cfg = _loop_cfg(steps=10, lam=1.0)
+    resumed, _ = train(instances, kg.n_entities, kg.n_relations, cfg, state=state)
+    assert resumed.step == 10 and resumed.config == cfg
 
 
 def test_resume_from_checkpoint_with_deterministic_key(tiny_dataset, tmp_path):
