@@ -60,7 +60,7 @@ import numpy as np
 
 from .cones import wrap_angle
 
-_LOG_FLOOR = 1e-300  # log() guard: keeps forward values finite on (0,1] inputs
+_LOG_FLOOR = 1e-300  # log_sigmoid takes log(sigmoid) at or above it, x - log1p(e^x) below
 _DENOM_FLOOR = 1e-30
 
 
@@ -277,10 +277,19 @@ def sigmoid(x):
     return _result(out, (x,), (lambda g: g * out * (1.0 - out),))
 
 
-def log(x):
+def log_sigmoid(x):
+    """log(sigmoid(x)) as one op.  With s = ``sigmoid(x)``: where s >=
+    ``_LOG_FLOOR``, the value is log(s) and the gradient g / s * s * (1 - s),
+    the chain rule through log and ``sigmoid`` in that order.  Below it (x <
+    about -690.8), the value is x - log1p(e^x), which rounds to x, and the
+    gradient g * (1 - s): the slope stays about 1 where log(s) loses its
+    precision and, once s underflows, its value."""
     xv = values_of(x)
-    safe = np.maximum(xv, _LOG_FLOOR)
-    return _result(np.log(safe), (x,), (lambda g: g / safe,))
+    s = sigmoid(xv)
+    deep = s < _LOG_FLOOR
+    safe = np.maximum(s, _LOG_FLOOR)
+    return _result(np.where(deep, xv, np.log(safe)), (x,),
+                   (lambda g: np.where(deep, g * (1.0 - s), g / safe * s * (1.0 - s)),))
 
 
 def clamp(x, lo: float, hi: float):

@@ -196,13 +196,13 @@ _COMPARE_BLOCK = 1 << 22
 _RESCORE_BYTES = 1 << 20
 
 
-def _rescore(m, disjuncts, rows, ids, lam: float) -> np.ndarray:
+def _rescore(m, disjuncts, trigs, rows, ids, lam: float) -> np.ndarray:
     """Float64 distances from chunk query ``rows[k]`` (rows of the (chunk,
-    d) ``disjuncts``) to entity ``ids[k]``.  Each disjunct's cone trig is
-    taken once, and paired fused-distance calls over blocks of at most
-    ``_RESCORE_BYTES`` per (pairs, d) array gather its rows and the cos and
-    sin of their entities' wrapped rows (the values of ``entity_points``)."""
-    trigs = [_cone_trig(c.axis, c.aperture) for c in disjuncts]
+    d) ``disjuncts``, whose ``_cone_trig`` are ``trigs``) to entity
+    ``ids[k]``.  Paired fused-distance calls over blocks of at most
+    ``_RESCORE_BYTES`` per (pairs, d) array gather the cone and trig rows and
+    the cos and sin of their entities' wrapped rows (the values of
+    ``entity_points``)."""
     step = max(1, _RESCORE_BYTES // (8 * m.d))
     out = np.empty(len(ids))
     for lo in range(0, len(ids), step):
@@ -219,7 +219,8 @@ def _settled_ranks(m, disjuncts, chunk, cos32, sin32, lam: float, bound):
     counts, settling each (answer, entity) pair at the cheapest of the three
     stages that can (see ``evaluate_instances``)."""
     c0, c1 = bound
-    parts = outside_tables32(disjuncts, cos32, sin32)
+    trigs = [_cone_trig(c.axis, c.aperture) for c in disjuncts]  # for stages 1 and 3
+    parts = outside_tables32(trigs, cos32, sin32)
     targets = [q.hard if q.hard else q.easy for q in chunk]
     known = [set(q.easy) | set(q.hard) for q in chunk]
     first = np.cumsum([0] + [len(t) for t in targets])
@@ -255,7 +256,7 @@ def _settled_ranks(m, disjuncts, chunk, cos32, sin32, lam: float, bound):
     band = (dist > lo[open_pair]) & (dist <= hi[open_pair])
     band_pair = open_pair[band]
     # stage 3: the answers and the band in float64
-    exact = _rescore(m, disjuncts, np.concatenate((rows, rows[band_pair])),
+    exact = _rescore(m, disjuncts, trigs, np.concatenate((rows, rows[band_pair])),
                      np.concatenate((answers, open_ids[band])), lam)
     at, beside = exact[:len(answers)], exact[len(answers):]
     ranks = (1 + below + np.bincount(band_pair[beside <= at[band_pair]],
@@ -295,8 +296,9 @@ def evaluate_instances(store: ParameterStore, instances, *, lam: float,
        distance kernel's tile size.  D32 <= lo counts, D32 > hi does not;
        the pairs between go on.
     3. The answers and what stage 2 left: float64 distances by paired fused
-       calls over blocks of ``_RESCORE_BYTES``, with each cone row's trig
-       taken once per chunk, and the pessimistic ``<=`` rule applied to them.
+       calls over blocks of ``_RESCORE_BYTES``, on the chunk's float64 cone
+       trig that stage 1 rounds (taken once), and the pessimistic ``<=``
+       rule applied to them.
        They equal the full table's entries bit for bit, because the kernel's
        arithmetic per (query, entity) entry does not depend on the other
        rows.

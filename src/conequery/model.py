@@ -467,6 +467,28 @@ def _chord_l1(cos_a, sin_a, cos_b, sin_b, buf, tmp):
     return (buf.reshape(-1, width) @ _ones(width, buf.dtype)).reshape(buf.shape[:-1])
 
 
+#: A float64 tile of ``_tiled_distance`` skips its axis chords p_a when
+#: every pair has p_u > fl(_FAR * p_ua): then every computed p_a exceeds
+#: p_ua, so the inside min takes p_ua, as the skipped chords would have shown.
+#:
+#: The three chords are L1 distances between points of R^2d, the float64
+#: trig of the upper boundary U, the axis A and the entity E, so the exact
+#: chords over those values keep the triangle inequality P_a >= P_u - P_ua.
+#: A computed chord sums 2d terms |a - b| >= 0, each rounded once by the
+#: subtraction, once by the pair add and at most d - 1 times by the row sum,
+#: in whatever order (sums and differences incur no underflow error), so it
+#: lies within g P of its exact P, with g = g_{d+1} = (d + 1) u / (1 - (d +
+#: 1) u) and u = 2^-53 (Higham, §4.2).  Then p_a >= (1 - g) P_a >= (1 - g)
+#: (p_u / (1 + g) - p_ua / (1 - g)), which is above p_ua whenever p_u > 2 (1
+#: + g) / (1 - g) p_ua = 2 p_ua / (1 - 2 (d + 1) u).  For d < 2^31 that
+#: factor is at most 2 / (1 - 2^-21).  The test gives p_u > (1 - u) _FAR p_ua
+#: = 2 (1 + 2^-20) (1 - u) p_ua, which is larger: where the product is
+#: normal it rounds by at most u, and below 2^-1021, where doubles are
+#: 2^-1074 apart, by half that spacing, which p_u, a larger double, clears.
+#: NaN chords fail the test, so their tiles take every chord.
+_FAR = 2.0 * (1.0 + 2.0 ** -20)
+
+
 def _cone_trig(axis, aperture):
     """cos and sin of a cone's upper boundary, lower boundary and axis."""
     half = aperture * 0.5
@@ -501,7 +523,9 @@ def _tiled_distance(trig, ce, se, lam, take=None):
     of one rank >= 2 with the entity rows on axis -2.  ``take``, when given
     (a taped forward, whose tile buffers come from ``_workspace``), is two
     boolean arrays shaped like the result; they receive where the outside
-    min took the upper boundary and the inside min the axis.
+    min took the upper boundary and the inside min the axis.  A tile whose
+    pairs are all far from the cone (see ``_FAR``, whose bound is float64's:
+    float32 callers take the outside term alone) takes no axis chord.
     """
     full = np.broadcast_shapes(trig[0].shape, ce.shape)
     rows, width = full[-2], full[-1]
@@ -534,10 +558,14 @@ def _tiled_distance(trig, ce, se, lam, take=None):
         if lam is None:
             out[..., span] = np.where(tu, p_u, p_l)
             continue
-        p_a = _chord_l1(*axis_t, ce_t, se_t, buf, tmp)
         p_ua_t = cols_of(p_ua, span)
-        ta = p_a <= p_ua_t
-        out[..., span] = np.where(tu, p_u, p_l) + np.where(ta, p_a, p_ua_t) * lam
+        if np.all(p_u > p_ua_t * _FAR):  # every p_a > p_ua: the inside min is p_ua
+            ta, inside = False, p_ua_t
+        else:
+            p_a = _chord_l1(*axis_t, ce_t, se_t, buf, tmp)
+            ta = p_a <= p_ua_t
+            inside = np.where(ta, p_a, p_ua_t)
+        out[..., span] = np.where(tu, p_u, p_l) + inside * lam
         if take is not None:
             take[0][..., span] = tu
             take[1][..., span] = ta
@@ -591,6 +619,8 @@ def _cone_distance(trig, axis_shape, aperture_shape, cos, sin, lam: float,
             diff, s_o, s_a = (b[..., :span.stop - span.start, :] for b in bufs)
             w_t = weights[..., span]
             tu = take_u[..., span, None]
+            # where the inside min never took the axis, its terms add only +-0
+            axis = take_a[..., span].any()
             # one-row operands, not the forward's repeats: measured faster here
             cone_t = [rows_of(x, span) for x in (cu, su, cl, sl, ca, sa)]
             for k in (1, 0):  # sin first: it writes the entity tile, cos completes it
@@ -600,8 +630,11 @@ def _cone_distance(trig, axis_shape, aperture_shape, cos, sin, lam: float,
                 np.copyto(diff, cone_t[2 + k])
                 np.copyto(diff, cone_t[k], where=tu)
                 np.sign(np.subtract(diff, e_t, out=diff), out=s_o)
-                np.sign(np.subtract(cone_t[4 + k], e_t, out=diff), out=s_a)
-                for sign, terms in ((s_o, (0, 1)), (s_a, (2,))):
+                signs = [(s_o, (0, 1))]
+                if axis:
+                    np.sign(np.subtract(cone_t[4 + k], e_t, out=diff), out=s_a)
+                    signs.append((s_a, (2,)))
+                for sign, terms in signs:
                     if gather:  # 3 weight rows: 1 would run gemv, which sums in another order
                         np.matmul(w_t, sign, out=prod)
                     for j in terms:
@@ -613,7 +646,8 @@ def _cone_distance(trig, axis_shape, aperture_shape, cos, sin, lam: float,
                             g_j -= rows_of(trig[j][1], span) * ad._unbroadcast(part, g_j.shape)
                 if need_ent:  # this coordinate's share of the entity gradient
                     np.multiply(s_o, g[..., span, None], out=s_o)
-                    s_o += np.multiply(s_a, w_t[..., 2, :, None], out=s_a)
+                    if axis:
+                        s_o += np.multiply(s_a, w_t[..., 2, :, None], out=s_a)
                     g_t = g_ent[..., span, :]
                     if k:  # ce * acc_s, which the cos pass subtracts
                         np.multiply(rows_of(ce, span), s_o, out=g_t)
@@ -699,11 +733,16 @@ def cone_entity_distance(cone: ConeBatch, entity, lam: float):
     One fused autodiff op (see ``autodiff`` for its subgradient conventions
     and where the entity gradient goes): the entity rows (the second-to-last
     axis of the broadcast) are processed in tiles of at most ``_TILE_BYTES``
-    per temporary.  The VJP takes one sign per coordinate of the boundary
-    the outside min chose and one of the axis, in tile buffers reused per
-    thread; where one cone row serves every entity row, a matmul sums the
-    cone's share over the rows.  Tape inputs and plain arrays take the same
-    path.
+    per temporary.  A tile in which every pair has L1(upper, e) > ``_FAR``
+    * L1(upper, axis), with ``_FAR`` = 2 (1 + 2^-20), takes no L1(axis, e):
+    the triangle inequality, with the float64 rounding of both chords
+    bounded (see ``_FAR``), proves the inside min takes the other term.
+    The VJP takes one sign per coordinate of the boundary the outside min
+    chose and, in tiles where the inside min took the axis anywhere, one of
+    the axis, in tile buffers reused per thread; where one cone row serves
+    every entity row, a matmul sums the cone's share over the rows.  The
+    skipped work adds only zeros, so values and gradients are the same
+    floats.  Tape inputs and plain arrays take the same path.
     """
     return dnf_entity_distance([cone], entity, lam)
 
@@ -736,23 +775,22 @@ class Outside32(NamedTuple):
     axis_sin: np.ndarray  # (batch, d)
 
 
-def outside_tables32(disjuncts: Sequence[ConeBatch], cos32, sin32) -> list[Outside32]:
-    """Per (batch, d) plain-array disjunct cone, the outside term O of its
-    float32 distance to every entity of ``entity_table32``, as a (batch,
-    n_entities) table, and the parts ``staged_distance32`` adds the inside
-    term from.
+def outside_tables32(trigs, cos32, sin32) -> list[Outside32]:
+    """Per (batch, d) plain-array disjunct cone, given by its float64
+    ``_cone_trig`` in ``trigs``, the outside term O of its float32 distance
+    to every entity of ``entity_table32``, as a (batch, n_entities) table,
+    and the parts ``staged_distance32`` adds the inside term from.
 
-    The cone trig is taken in float64 and rounded once to float32; the table
-    runs the float64 kernel's tile arithmetic in float32 (tiles twice as many
-    rows), two chords per entry instead of three.  The inside term min(p_a,
+    The cone trig is rounded once to float32; the table runs the float64
+    kernel's tile arithmetic in float32 (tiles twice as many rows), two
+    chords per entry instead of three.  The inside term min(p_a,
     p_ua) is at most p_ua and float32 rounding is monotone, so each
     disjunct's D32 lies in [O, fl32(O + fl32(lam p_ua))], and the DNF min of
     the D32s lies between the mins of the two ends.
     """
     parts = []
-    for cone in disjuncts:
-        cu, su, cl, sl, ca, sa = (x.astype(np.float32)
-                                  for x in _cone_trig(cone.axis, cone.aperture))
+    for trig in trigs:
+        cu, su, cl, sl, ca, sa = (x.astype(np.float32) for x in trig)
         table = _tiled_distance([x[:, None, :] for x in (cu, su, cl, sl)],
                                 cos32[None], sin32[None], None)
         p_ua = _chord_l1(cu, su, ca, sa, np.empty_like(cu), np.empty_like(cu))
@@ -841,11 +879,14 @@ def table32_error_bound(d: int, lam: float) -> tuple[float, float]:
 def margin_loss(pos_dist, neg_dist, margin: float):
     """-log sigmoid(margin - d_pos) - (1/k) sum_i log sigmoid(d_neg_i - margin),
     averaged over the batch.  ``pos_dist`` is (batch,), ``neg_dist`` (batch, k).
+    Each log sigmoid is ``ad.log_sigmoid``, so a distance far beyond the
+    margin (as an untrained store's are at the default d = 800) still has
+    loss about d_pos - margin and gradient about 1.
     """
     if ad.values_of(neg_dist).shape[-1] < 1:
         raise ValueError("need at least one negative sample")
-    pos_term = ad.log(ad.sigmoid(ad.subtract(float(margin), pos_dist)))
-    neg_term = ad.mean(ad.log(ad.sigmoid(ad.subtract(neg_dist, float(margin)))), axis=-1)
+    pos_term = ad.log_sigmoid(ad.subtract(float(margin), pos_dist))
+    neg_term = ad.mean(ad.log_sigmoid(ad.subtract(neg_dist, float(margin))), axis=-1)
     return ad.multiply(ad.mean(ad.add(pos_term, neg_term)), -1.0)
 
 

@@ -22,7 +22,7 @@ from conequery.cones import (
     wrap_angle,
 )
 from conequery import autodiff as ad
-from conequery import conditions, queries
+from conequery import conditions, model, queries
 from conequery.evaluation import StructureMetrics
 from conequery.model import ConeBatch, cone_entity_distance, embed_structure, margin_loss
 
@@ -335,6 +335,24 @@ def _point_l1(theta_a, theta_b):
     dcos = ad.absval(ad.subtract(ad.cos(theta_a), ad.cos(theta_b)))
     dsin = ad.absval(ad.subtract(ad.sin(theta_a), ad.sin(theta_b)))
     return ad.total(ad.add(dcos, dsin), axis=-1)
+
+
+def cone_trigs(disjuncts):
+    """Each plain-array disjunct's float64 ``model._cone_trig``."""
+    return [model._cone_trig(c.axis, c.aperture) for c in disjuncts]
+
+
+def count_chords(monkeypatch) -> list[int]:
+    """Make ``model._chord_l1`` count its calls into the returned one-item list."""
+    calls = [0]
+    chord = model._chord_l1
+
+    def counting(*args):
+        calls[0] += 1
+        return chord(*args)
+
+    monkeypatch.setattr(model, "_chord_l1", counting)
+    return calls
 
 
 def composed_cone_entity_distance(cone, entity_angles, lam: float):

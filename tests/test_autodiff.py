@@ -53,10 +53,38 @@ def test_guarded_ops_stay_finite():
     x = tape.leaf(np.array([-800.0, 0.0, 800.0]))
     s = ad.sigmoid(x)
     assert np.all(np.isfinite(s.values))
-    l = ad.log(ad.sigmoid(x))
+    l = ad.log_sigmoid(x)
     assert np.all(np.isfinite(l.values))
     tape.backward(ad.total(l))
     assert np.all(np.isfinite(x.grad))
+
+
+def test_log_sigmoid_equals_log_of_sigmoid_above_the_floor():
+    # where sigmoid(x) >= 1e-300 the op is log after sigmoid, values and
+    # gradient bit for bit; below, where that log sits at its floor, it
+    # keeps the value x and the slope 1
+    rng = np.random.default_rng(5)
+    x = np.concatenate((np.linspace(-690.0, 40.0, 2001), rng.normal(size=50) * 30))
+    weights = rng.normal(size=x.shape)
+    tape = ad.Tape()
+    leaf_x = tape.leaf(x)
+    out = ad.log_sigmoid(leaf_x)
+    tape.backward(ad.total(ad.multiply(out, weights)))
+    s = ad.sigmoid(x)
+    assert np.all(s >= 1e-300)
+    assert np.array_equal(out.values, np.log(s))
+    assert np.array_equal(leaf_x.grad, weights / s * s * (1.0 - s))
+    deep = np.array([-1200.0, -760.0, -700.0])
+    assert np.array_equal(ad.log_sigmoid(deep), deep)
+    tape = ad.Tape()
+    leaf_x = tape.leaf(deep)
+    tape.backward(ad.total(ad.log_sigmoid(leaf_x)))
+    assert np.array_equal(leaf_x.grad, np.ones(3))
+
+
+@pytest.mark.parametrize("x", [-1200.0, -760.0, -5.0, 0.0, 5.0])
+def test_grad_check_log_sigmoid(x):
+    assert ad.grad_check(lambda v: ad.total(ad.log_sigmoid(v)), [np.array([x])]) < 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -265,8 +293,7 @@ def test_grad_check_composed_net():
 
     def f(xv, a, b):
         h = ad.relu(ad.matmul(xv, a))
-        out = ad.sigmoid(ad.matmul(h, b))
-        return ad.mean(ad.log(out))
+        return ad.mean(ad.log_sigmoid(ad.matmul(h, b)))
 
     assert ad.grad_check(f, [x, w1, w2]) < 1e-4
 

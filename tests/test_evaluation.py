@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from _helpers import naive_filtered_rank, reference_structure_rollup
+from _helpers import cone_trigs, naive_filtered_rank, reference_structure_rollup
 import conequery.evaluation as evaluation
 import conequery.model as model
 from conequery.evaluation import (
@@ -307,7 +307,7 @@ def _staged_table32(m, disjuncts, lam):
     """The float32 D32 of every (query, entity) pair, as ``evaluate_instances``
     computes it when a pair is not settled by its bracket."""
     cos32, sin32 = entity_table32(m)
-    parts = outside_tables32(disjuncts, cos32, sin32)
+    parts = outside_tables32(cone_trigs(disjuncts), cos32, sin32)
     rows, ids = np.indices((len(disjuncts[0].axis), len(cos32))).reshape(2, -1)
     return staged_distance32(parts, rows, ids, cos32, sin32, lam).reshape(-1, len(cos32))
 
@@ -364,7 +364,8 @@ def test_paired_rescore_equals_the_full_float64_table(monkeypatch, every_structu
         table = dnf_entity_distance(_wide(disjuncts), points, 0.02)
         order = rng.permutation(table.size)
         rows, ids = np.unravel_index(order, table.shape)
-        assert np.array_equal(_rescore(m, disjuncts, rows, ids, 0.02), table[rows, ids]), tag
+        rescored = _rescore(m, disjuncts, cone_trigs(disjuncts), rows, ids, 0.02)
+        assert np.array_equal(rescored, table[rows, ids]), tag
 
 
 def test_wide_band_rescore_memory_stays_bounded():

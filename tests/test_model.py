@@ -58,6 +58,8 @@ from _helpers import (
     angle_dist,
     composed_cone_entity_distance,
     composed_loss_and_grads,
+    cone_trigs,
+    count_chords,
     per_input_intersect_cones,
     reference_dnf_entity_distance,
     reference_entity_points,
@@ -689,6 +691,87 @@ def test_tiled_distance_equals_single_block(monkeypatch, layout, n_entities):
         composed_cone_entity_distance, axis, aperture, entity, weights, 0.4))
 
 
+@pytest.mark.parametrize("tiles, nan", [("one", False), ("several", False), ("several", True)])
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+def test_far_tiles_skip_the_axis_chord_bit_for_bit(monkeypatch, layout, tiles, nan):
+    # cones of apertures below 0.4 against random entities, which are far
+    # from them; with several tiles, the first tile's entities sit inside a
+    # cone (so it takes its axis chords) and, with nan, one entity of the
+    # last tile is NaN (so it takes them too)
+    rng = np.random.default_rng(29)
+    cone_shape, entity_shape = LAYOUTS[layout]
+    axis = rng.uniform(-PI, PI, size=cone_shape)
+    aperture = rng.uniform(0.0, 0.4, size=cone_shape)
+    entity = rng.uniform(-PI, PI, size=entity_shape)
+    full = np.broadcast_shapes(cone_shape, entity_shape)
+    rows, outer, d = full[-2], math.prod(full[:-2]), full[-1]
+    tile = rows if tiles == "one" else {"positives": 4, "negatives": 2, "ranking": 8}[layout]
+    monkeypatch.setattr(model, "_TILE_BYTES", tile * outer * d * 8)
+    n_tiles = -(-rows // tile)
+    if tiles == "several":
+        inside = axis + rng.uniform(-0.5, 0.5, size=cone_shape) * aperture
+        entity[..., :tile, :] = inside[0] if layout == "ranking" else inside[..., :tile, :]
+    if nan:
+        entity[..., -1, 0] = np.nan
+    weights = rng.normal(size=full[:-1])
+    calls = count_chords(monkeypatch)
+
+    def run():
+        calls[0] = 0
+        dist = cone_entity_distance(ConeBatch(axis, aperture), entity, 0.3)
+        chords = calls[0]
+        return chords, [dist] + _distance_grads(cone_entity_distance, axis, aperture, entity,
+                                                weights, 0.3)
+
+    chords, pruned = run()
+    monkeypatch.setattr(model, "_FAR", math.inf)
+    all_chords, unpruned = run()
+    assert all_chords == 1 + 3 * n_tiles
+    skipped = {"one": 1, "several": n_tiles - 1 - nan}[tiles]
+    assert all_chords - chords == skipped > 0
+    for got, want in zip(pruned, unpruned):
+        assert np.array_equal(got, want, equal_nan=True)
+    assert np.isnan(pruned[0]).any() == nan
+
+
+@settings(max_examples=100, deadline=None)
+@given(d=st.one_of(st.integers(1, 64), st.just(800)), seed=st.integers(0, 2**32 - 1))
+def test_far_test_proves_the_axis_chord_loses(d, seed):
+    # every pair the kernel would skip the axis chord for (p_u > _FAR p_ua)
+    # has a computed p_a above p_ua.  Per cone, the entities are: random; on
+    # the arc from the axis to the upper boundary; and at axis - s *
+    # aperture / 2, beyond the axis, for the 9 values of s nearest to where
+    # the computed p_a crosses p_ua, so p_u is near 2 p_ua where the arc is
+    # short.  A bare factor 2 fails there.
+    rng = np.random.default_rng(seed)
+    n = max(4, 4096 // d)
+    axis = rng.uniform(-PI, PI, size=(n, 1, d))
+    scale = rng.choice([1e-6, 0.3, TWO_PI], size=(n, 1, 1))
+    aperture = np.select([rng.random((n, 1, d)) < p for p in (0.05, 0.1, 0.15)],
+                         [0.0, TWO_PI, 1e-300], rng.random((n, 1, d)) * scale)
+    half = aperture * 0.5
+    cu, su, _, _, ca, sa = model._cone_trig(axis, aperture)
+    p_ua = model._chord_l1(cu, su, ca, sa, np.empty(axis.shape), np.empty(axis.shape))
+
+    def chords(entity):  # p_u and p_a
+        ce, se = np.cos(entity), np.sin(entity)
+        buf, tmp = np.empty(entity.shape), np.empty(entity.shape)
+        return (model._chord_l1(cu, su, ce, se, buf, tmp),
+                model._chord_l1(ca, sa, ce, se, buf, tmp))
+
+    lo, hi = np.full((n, 1, 1), 0.5), np.full((n, 1, 1), 2.0)
+    for _ in range(60):  # bisect each cone's s for p_a = p_ua
+        mid = (lo + hi) * 0.5
+        below = (chords(axis - mid * half)[1] <= p_ua)[..., None]
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    s = lo + np.arange(-4, 5)[:, None] * np.spacing(lo)
+    entity = np.concatenate((rng.uniform(-PI, PI, size=(n, 4, d)),
+                             axis + rng.random((n, 4, d)) * half, axis - s * half), axis=1)
+    p_u, p_a = chords(entity)
+    far = p_u > p_ua * model._FAR
+    assert np.all(p_a[far] > np.broadcast_to(p_ua, p_a.shape)[far])
+
+
 def test_distance_table_peak_memory_stays_below_one_dense_array():
     rng = np.random.default_rng(25)
     chunk, n_entities, d = 64, 5000, 16
@@ -870,7 +953,7 @@ def test_float32_table_within_its_error_bound(d, lam, n_disjuncts, seed):
     # after the DNF min
     disjuncts, m = _table_case(np.random.default_rng(seed), d, n_disjuncts)
     cos32, sin32 = entity_table32(m)
-    parts = outside_tables32(disjuncts, cos32, sin32)
+    parts = outside_tables32(cone_trigs(disjuncts), cos32, sin32)
     rows, ids = np.indices((3, 8)).reshape(2, -1)
 
     def staged(parts):
@@ -898,7 +981,7 @@ def test_staged_distance32_memory_does_not_grow_with_its_pairs():
     d, batch, n_entities = 64, 4, 50
     disjuncts, m = _table_case(np.random.default_rng(31), d, 2, batch, n_entities)
     cos32, sin32 = entity_table32(m)
-    parts = outside_tables32(disjuncts, cos32, sin32)
+    parts = outside_tables32(cone_trigs(disjuncts), cos32, sin32)
     pairs = 64 * model._TILE_BYTES // (4 * d)
     rows = np.arange(pairs) % batch
     ids = np.arange(pairs) % n_entities
@@ -946,6 +1029,17 @@ def test_loss_at_margin_is_two_log_two():
 def test_loss_vanishes_for_perfect_separation():
     val = margin_loss(np.array([0.0]), np.array([[1e6]]), margin=20.0)
     assert 0.0 < val < 1e-8
+
+
+def test_loss_keeps_its_slope_far_beyond_the_margin():
+    # an untrained store's distances at d = 800 are about 1,200: the loss
+    # there is about d_pos - margin, with gradient about 1, not a floor
+    tape = ad.Tape()
+    pos, neg = tape.leaf([1200.0]), tape.leaf([[1200.0, 1500.0]])
+    loss = margin_loss(pos, neg, margin=20.0)
+    tape.backward(loss)
+    assert loss.values == 1180.0
+    assert pos.grad[0] == 1.0 and np.array_equal(neg.grad, np.zeros((1, 2)))
 
 
 def test_loss_requires_negatives():

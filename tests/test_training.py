@@ -43,6 +43,7 @@ from conequery.training import (
 )
 
 from _helpers import (
+    count_chords,
     reference_adam_step,
     reference_assemble_batch,
     reference_negatives,
@@ -521,6 +522,39 @@ def test_workspace_keeps_no_buffer_over_its_cap(tiny_dataset, monkeypatch):
     for name, g in grads.items():
         assert np.array_equal(capped[name], g), name
     model._drop_workspace()
+
+
+class _SignCounter:
+    """numpy, but counting ``sign`` calls."""
+
+    def __init__(self):
+        self.signs = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def sign(self, *args, **kwargs):
+        self.signs += 1
+        return np.sign(*args, **kwargs)
+
+
+def test_an_untrained_toy_step_skips_the_axis_chords(tiny_dataset, monkeypatch):
+    # a toy-profile 1p step on an untrained store, whose entities are all far
+    # from their cones.  Each of its two distance calls runs one tile: its
+    # forward takes the upper-to-axis chord and the two boundary chords, not
+    # the axis chord (3 chords, not 4), and its VJP takes a sign per
+    # coordinate (cos, sin) for the chosen boundary and for the
+    # upper-to-axis term, none for the axis (4 signs, not 6)
+    instances, kg = tiny_dataset
+    toy = PROFILES["toy"]
+    store = ParameterStore(kg.n_entities, kg.n_relations, toy["d"], seed=0)
+    pool = training._StructurePool(instances, kg.n_entities)
+    batch = pool.draw(np.random.default_rng(0), toy["b"], toy["n"])
+    chords = count_chords(monkeypatch)
+    counter = _SignCounter()
+    monkeypatch.setattr(model, "np", counter)
+    batch_loss_and_grads(store, "1p", *batch, lam=0.02)
+    assert (chords[0], counter.signs) == (6, 8)
 
 
 def test_train_rejects_empty():
