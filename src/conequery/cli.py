@@ -61,7 +61,6 @@ from conequery.patterns import (
 from conequery.planted import build_planted_kg
 from conequery.queries import (
     ALL_STRUCTURES,
-    KnowledgeGraph,
     generate_dataset,
     one_hop_instances,
     random_split,
@@ -175,10 +174,16 @@ def _resolved_config(args: argparse.Namespace):
 def _read_data_dir(data: str | Path) -> dict:
     """Load a gen-queries output directory."""
     data = Path(data)
-    stats = json.loads((data / "stats.json").read_text(encoding="utf-8"))
+    path = data / "stats.json"
+    stats = json.loads(path.read_text(encoding="utf-8"))
+    if not isinstance(stats, dict):
+        raise ValueError(f"{path}: not a JSON object")
+    for key in ("n_entities", "n_relations"):
+        if not isinstance(stats.get(key), int):
+            raise ValueError(f"{path}: no integer {key!r} entry")
     out = {
-        "n_entities": int(stats["n_entities"]),
-        "n_relations": int(stats["n_relations"]),
+        "n_entities": stats["n_entities"],
+        "n_relations": stats["n_relations"],
         "stats": stats,
         "entity_names": read_id_map(data / "entities.tsv"),
         "relation_names": read_id_map(data / "relations.tsv"),

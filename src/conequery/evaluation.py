@@ -3,11 +3,8 @@
 Ranks every held-out (query, answer) pair against all entities with the
 known answers filtered out, pessimistic on ties, then reports MRR and
 Hits@k per query structure, macro averages, and pattern-subgroup rollups.
-``evaluate_instances`` ranks in three stages.  A float32 table of the
-outside term alone brackets each float32 distance, since the inside term
-adds at most lambda times a per-row chord; that bracket settles most pairs.
-The pairs it leaves open get their float32 distance, and what rounding
-could still change is rescored in float64.  So its ranks equal
+``evaluate_instances`` ranks on float32 distances and rescores in float64
+only the pairs rounding could order wrongly, so its ranks equal
 ``rank_instance``'s over the float64 table exactly (see its docstring).
 
 Aggregation convention: reciprocal ranks are averaged per query first (over
@@ -19,24 +16,25 @@ contrast, averages whatever rank list it is given.
 from __future__ import annotations
 
 import json
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, dataclass
 from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
+from . import model
 from .cones import wrap_angle
 from .model import (
     ConeBatch,
     ParameterStore,
     _as_points,
+    _chord_l1,
     _cone_trig,
     _dnf_distance,
+    _tiled_distance,
     embed_structure,
-    entity_table32,
-    outside_tables32,
-    staged_distance32,
-    table32_error_bound,
 )
 from .queries import ALL_STRUCTURES, QueryInstance
 
@@ -189,21 +187,130 @@ def _validate_vocabulary(store: ParameterStore, instances) -> None:
 #: (chunk, |E|) tables.
 _CHUNK = 128
 
-#: Most (answer, entity) comparisons made at once: 16 MB of float32 rows.
-_COMPARE_BLOCK = 1 << 22
 
-#: Most bytes in one (pairs, d) float64 array of a float64 rescore call.
-_RESCORE_BYTES = 1 << 20
+def _block(row_bytes: int) -> int:
+    """Rows per ranking block: as many ``row_bytes``-byte rows as fit in the
+    distance kernel's ``model._TILE_BYTES``, and at least one."""
+    return max(1, model._TILE_BYTES // row_bytes)
+
+
+def _entity_table32(m) -> tuple[np.ndarray, np.ndarray]:
+    """Every entity's cos and sin, taken in float64 as by ``entity_points``
+    and rounded once to float32: the entity side of ``_outside_tables32``."""
+    angles = wrap_angle(m.entity_axis)
+    return np.cos(angles).astype(np.float32), np.sin(angles).astype(np.float32)
+
+
+class _Outside32(NamedTuple):
+    """One disjunct cone's float32 ranking parts (see ``_outside_tables32``)."""
+
+    table: np.ndarray  # (batch, n_entities): the outside term O of each entry
+    p_ua: np.ndarray  # (batch,): the chord from the upper boundary to the axis
+    axis_cos: np.ndarray  # (batch, d)
+    axis_sin: np.ndarray  # (batch, d)
+
+
+def _outside_tables32(trigs, cos32, sin32) -> list[_Outside32]:
+    """Per (batch, d) disjunct cone, given by its float64 ``_cone_trig`` in
+    ``trigs``, the outside term O of its float32 distance to every entity of
+    ``_entity_table32``, as a (batch, n_entities) table, and the parts
+    ``_staged_distance32`` adds the inside term from.  The cone trig is
+    rounded once to float32, and the table runs the float64 kernel's tile
+    arithmetic in float32, two chords per entry instead of three."""
+    parts = []
+    for trig in trigs:
+        cu, su, cl, sl, ca, sa = (x.astype(np.float32) for x in trig)
+        table = _tiled_distance([x[:, None, :] for x in (cu, su, cl, sl)],
+                                cos32[None], sin32[None], None)
+        p_ua = _chord_l1(cu, su, ca, sa, np.empty_like(cu), np.empty_like(cu))
+        parts.append(_Outside32(table, p_ua, ca, sa))
+    return parts
+
+
+def _staged_distance32(parts, rows, ids, cos32, sin32, lam: float):
+    """The float32 DNF distance D32 from row ``rows[k]`` of ``parts`` to
+    entity ``ids[k]`` of ``_entity_table32``.
+
+    Per disjunct, O is read from its table and lam * min(p_a, p_ua) added,
+    with p_a one paired axis chord over the gathered float32 rows: the
+    kernel's float32 arithmetic for that entry.  The disjuncts' min is taken
+    as ``dnf_entity_distance`` takes it.  The pairs run in ``_block``s of
+    gathered (pairs, d) rows, so the memory a call takes does not grow with
+    the number of pairs.
+    """
+    lam = float(lam)
+    step = _block(cos32.itemsize * cos32.shape[1])
+    dist = np.empty(len(ids), np.float32)
+    for lo in range(0, len(ids), step):
+        rows_b, ids_b = rows[lo:lo + step], ids[lo:lo + step]
+        ce, se = cos32[ids_b], sin32[ids_b]
+        buf, tmp = np.empty_like(ce), np.empty_like(ce)
+        best = None
+        for part in parts:
+            p_a = _chord_l1(part.axis_cos[rows_b], part.axis_sin[rows_b], ce, se, buf, tmp)
+            p_ua = part.p_ua[rows_b]
+            out = part.table[rows_b, ids_b] + np.where(p_a <= p_ua, p_a, p_ua) * lam
+            # ad.minimum's choice, NaN included, so NaN entries match the float64 table's
+            best = out if best is None else np.where(best <= out, best, out)
+        dist[lo:lo + step] = best
+    return dist
+
+
+#: Unit roundoff of float32.
+_U32 = 2.0 ** -24
+
+
+def _table32_error_bound(d: int, lam: float) -> tuple[float, float]:
+    """(c0, c1) with |D32 - D64| <= c0 + c1 * D32 for every computed D32 of
+    ``_staged_distance32`` and the float64 ``dnf_entity_distance`` D64 of
+    the same (query, entity): c0 = 8 d u (1 + lam), c1 = 2 (d + 4) u, with
+    u = 2^-24 and finite lam >= 0, for any summation order of the row sums.  It
+    bounds computed D32 values only: the ends of ``_outside_tables32``'s
+    bracket are not distances, and a ranker that decides an entity from
+    them compares the D32 they bracket.
+
+    Both tables start from the same float64 trig values x, |x| <= 1; the
+    float32 one rounds each once, |fl32(x) - x| <= u.  Write g_n = n u / (1 -
+    n u) (Higham, *Accuracy and Stability of Numerical Algorithms*, §4.2) and
+    g'_n for float64's u' = 2^-53.
+
+    1. One chord L1 (p_u, p_l, p_a or p_ua) sums 2d terms |a - b| >= 0.
+       Rounding the inputs moves its exact value S by at most 2d * 2u = 4du.
+       In float32 each term is rounded once by the subtraction, once by the
+       pair add and at most d - 1 times by the row sum, in whatever order,
+       so the computed C32 is within g_{d+1} C^ of the exact sum C^ over
+       the rounded inputs.
+    2. A min of terms keeps both the relative and the absolute bound.
+    3. D32 = fl(O + fl(fl32(lam) * I)) adds one rounding to the outside
+       term and three to the inside term, so |D32 - D^| <= g_{d+4} D^, with
+       D^ = O^ + lam I^ the exact distance over rounded inputs and |D^ - D*|
+       <= 4du (1 + lam) for D* the exact one over the float64 inputs.  The
+       float64 kernel is the same arithmetic on D*'s inputs:
+       |D64 - D*| <= g'_{d+3} D*.
+    4. Together |D32 - D64| <= G D* + A with G = g_{d+4} + g'_{d+3} and
+       A = 4du (1 + lam)(1 + g_{d+4}); with D* <= (D32 + A) / (1 - G) this
+       is A / (1 - G) + G / (1 - G) D32.  For (d + 4) u <= 1/100 these are
+       below 1.03 * 4du (1 + lam) and 1.03 (d + 4) u, so c0 and c1 hold
+       with about 2x to spare, which also covers the float64 rounding of
+       thresholds built from them.
+    5. If every disjunct's entry keeps |x' - x| <= c0 + c1 x', so does their
+       min, because t -> t -/+ (c0 + c1 t) is increasing.
+    """
+    lam = float(lam)
+    if not 0.0 <= lam < math.inf:
+        raise ValueError("lambda must be non-negative and finite")
+    if (d + 4) * _U32 > 0.01:
+        raise ValueError(f"d={d} is too large for the float32 distance table's bound")
+    return 8 * d * _U32 * (1.0 + lam), 2 * (d + 4) * _U32
 
 
 def _rescore(m, disjuncts, trigs, rows, ids, lam: float) -> np.ndarray:
     """Float64 distances from chunk query ``rows[k]`` (rows of the (chunk,
     d) ``disjuncts``, whose ``_cone_trig`` are ``trigs``) to entity
-    ``ids[k]``.  Paired fused-distance calls over blocks of at most
-    ``_RESCORE_BYTES`` per (pairs, d) array gather the cone and trig rows and
-    the cos and sin of their entities' wrapped rows (the values of
-    ``entity_points``)."""
-    step = max(1, _RESCORE_BYTES // (8 * m.d))
+    ``ids[k]``.  Paired fused-distance calls over ``_block``s of (pairs, d)
+    float64 rows gather the cone and trig rows and the cos and sin of their
+    entities' wrapped rows (the values of ``entity_points``)."""
+    step = _block(8 * m.d)
     out = np.empty(len(ids))
     for lo in range(0, len(ids), step):
         span = slice(lo, lo + step)
@@ -220,13 +327,13 @@ def _settled_ranks(m, disjuncts, chunk, cos32, sin32, lam: float, bound):
     stages that can (see ``evaluate_instances``)."""
     c0, c1 = bound
     trigs = [_cone_trig(c.axis, c.aperture) for c in disjuncts]  # for stages 1 and 3
-    parts = outside_tables32(trigs, cos32, sin32)
+    parts = _outside_tables32(trigs, cos32, sin32)
     targets = [q.hard if q.hard else q.easy for q in chunk]
     known = [set(q.easy) | set(q.hard) for q in chunk]
     first = np.cumsum([0] + [len(t) for t in targets])
     rows = np.repeat(np.arange(len(chunk)), np.diff(first))
     answers = np.fromiter(chain.from_iterable(targets), np.int64, first[-1])
-    near = staged_distance32(parts, rows, answers, cos32, sin32, lam).astype(np.float64)
+    near = _staged_distance32(parts, rows, answers, cos32, sin32, lam).astype(np.float64)
     lo = (near * (1.0 - c1) - 2.0 * c0) / (1.0 + c1)
     hi = (near * (1.0 + c1) + 2.0 * c0) / (1.0 - c1)
     known_at = (np.repeat(np.arange(len(chunk)), [len(k) for k in known]),
@@ -240,7 +347,7 @@ def _settled_ranks(m, disjuncts, chunk, cos32, sin32, lam: float, bound):
     # stage 1: counted when the bracket's top is <= lo, not when its bottom is > hi
     below = np.empty(len(answers), dtype=np.int64)
     open_pair, open_ids = [], []
-    block = max(1, _COMPARE_BLOCK // low.shape[1])
+    block = _block(low.itemsize * low.shape[1])
     for start in range(0, len(answers), block):
         span = slice(start, start + block)
         settled = high[rows[span]] <= lo[span, None]
@@ -251,7 +358,7 @@ def _settled_ranks(m, disjuncts, chunk, cos32, sin32, lam: float, bound):
         open_ids.append(ids)
     open_pair, open_ids = np.concatenate(open_pair), np.concatenate(open_ids)
     # stage 2: the same rule on the D32 of the open pairs
-    dist = staged_distance32(parts, rows[open_pair], open_ids, cos32, sin32, lam)
+    dist = _staged_distance32(parts, rows[open_pair], open_ids, cos32, sin32, lam)
     below += np.bincount(open_pair[dist <= lo[open_pair]], minlength=len(answers))
     band = (dist > lo[open_pair]) & (dist <= hi[open_pair])
     band_pair = open_pair[band]
@@ -279,34 +386,34 @@ def evaluate_instances(store: ParameterStore, instances, *, lam: float,
     The ranks are ``rank_instance``'s over the float64 ``dnf_entity_distance``
     table, exactly, though that table is never built.  A computed float32
     distance D32 is within c0 + c1 D32 of the float64 one D64
-    (``table32_error_bound``).  For an answer with D32 a, an entity with D32
+    (``_table32_error_bound``).  For an answer with D32 a, an entity with D32
     <= lo = (a (1 - c1) - 2 c0) / (1 + c1) has D64 <= a - c0 - c1 a <= the
     answer's D64, so it counts; one with D32 > hi = (a (1 + c1) + 2 c0) / (1
     - c1) has D64 above the answer's, so it does not.  Each (answer, entity)
     pair is settled by the first of three stages that can:
 
     1. Every pair: a float32 (chunk, |E|) table per disjunct holds only the
-       outside term O (``outside_tables32``, two chords of three).  The
+       outside term O (``_outside_tables32``, two chords of three).  The
        inside term adds at most fl32(lam p_ua) per query row, and rounding is
        monotone, so D32 lies between min_k O_k and min_k fl32(O_k + fl32(lam
        p_ua_k)).  A top end <= lo counts the entity, a bottom end > hi does
        not; every other pair is open.
-    2. The answers and the open pairs: D32 itself (``staged_distance32``),
-       the axis chord computed over gathered float32 rows in blocks of the
-       distance kernel's tile size.  D32 <= lo counts, D32 > hi does not;
-       the pairs between go on.
+    2. The answers and the open pairs: D32 itself (``_staged_distance32``),
+       the axis chord computed over gathered float32 rows.  D32 <= lo
+       counts, D32 > hi does not; the pairs between go on.
     3. The answers and what stage 2 left: float64 distances by paired fused
-       calls over blocks of ``_RESCORE_BYTES``, on the chunk's float64 cone
-       trig that stage 1 rounds (taken once), and the pessimistic ``<=``
-       rule applied to them.
+       calls, on the chunk's float64 cone trig that stage 1 rounds (taken
+       once), and the pessimistic ``<=`` rule applied to them.
        They equal the full table's entries bit for bit, because the kernel's
        arithmetic per (query, entity) entry does not depend on the other
        rows.
 
     Each entity so gets the rule it would get from a full float32 table,
     applied to a D32 that is computed or bracketed, so no bound beyond
-    ``table32_error_bound`` is needed.  The report counts the pairs stage 1
-    left open and the pairs stage 3 rescored, answers excluded.
+    ``_table32_error_bound`` is needed.  Each stage walks its pairs in
+    ``_block``s, sized by the distance kernel's tile.  The report counts the
+    pairs stage 1 left open and the pairs stage 3 rescored, answers
+    excluded.
     """
     if threads < 1:
         raise ValueError("threads must be a positive integer")
@@ -315,9 +422,9 @@ def evaluate_instances(store: ParameterStore, instances, *, lam: float,
         raise ValueError("nothing to evaluate")
     _validate_vocabulary(store, instances)
     lam = float(lam)
-    bound = table32_error_bound(store.d, lam)  # rejects a negative or non-finite lam
+    bound = _table32_error_bound(store.d, lam)  # rejects a negative or non-finite lam
     m = store.tensors(None)
-    cos32, sin32 = entity_table32(m)  # (n_entities, d) each
+    cos32, sin32 = _entity_table32(m)  # (n_entities, d) each
 
     def score_chunk(tag: str, chunk: list[QueryInstance]):
         anchors = np.array([q.anchors for q in chunk], dtype=np.int64)

@@ -60,11 +60,6 @@ __all__ = [
     "embed_structure",
     "cone_entity_distance",
     "dnf_entity_distance",
-    "entity_table32",
-    "Outside32",
-    "outside_tables32",
-    "staged_distance32",
-    "table32_error_bound",
     "margin_loss",
     "batch_loss",
     "param_breakdown",
@@ -407,7 +402,7 @@ def embed_structure(m: ModelParams, tag: str, anchors, relations) -> list[ConeBa
 #: 8 MB that 1 MB tiles make.  A taped forward's two buffers and the VJP's
 #: three come from ``_workspace``; taken from there, ranking's two measured
 #: slower in evaluation, so an untaped forward allocates its own.
-#: ``staged_distance32`` blocks its gathered rows by the same size.
+#: Ranking (``evaluation``) sizes each of its blocks by it too.
 _TILE_BYTES = 1 << 18
 
 #: The largest buffer ``_workspace`` keeps.  It sits above every buffer the
@@ -757,123 +752,6 @@ def dnf_entity_distance(disjuncts: Sequence[ConeBatch], entity, lam: float):
         raise ValueError("a DNF embedding needs at least one disjunct")
     trigs = [_cone_trig(ad.values_of(c.axis), ad.values_of(c.aperture)) for c in disjuncts]
     return _dnf_distance(disjuncts, trigs, _as_points(entity), lam)
-
-
-def entity_table32(m: ModelParams) -> tuple[np.ndarray, np.ndarray]:
-    """Every entity's cos and sin, taken in float64 as by ``entity_points``
-    and rounded once to float32: the entity side of ``outside_tables32``."""
-    angles = wrap_angle(ad.values_of(m.entity_axis))
-    return np.cos(angles).astype(np.float32), np.sin(angles).astype(np.float32)
-
-
-class Outside32(NamedTuple):
-    """One disjunct cone's float32 ranking parts (see ``outside_tables32``)."""
-
-    table: np.ndarray  # (batch, n_entities): the outside term O of each entry
-    p_ua: np.ndarray  # (batch,): the chord from the upper boundary to the axis
-    axis_cos: np.ndarray  # (batch, d)
-    axis_sin: np.ndarray  # (batch, d)
-
-
-def outside_tables32(trigs, cos32, sin32) -> list[Outside32]:
-    """Per (batch, d) plain-array disjunct cone, given by its float64
-    ``_cone_trig`` in ``trigs``, the outside term O of its float32 distance
-    to every entity of ``entity_table32``, as a (batch, n_entities) table,
-    and the parts ``staged_distance32`` adds the inside term from.
-
-    The cone trig is rounded once to float32; the table runs the float64
-    kernel's tile arithmetic in float32 (tiles twice as many rows), two
-    chords per entry instead of three.  The inside term min(p_a,
-    p_ua) is at most p_ua and float32 rounding is monotone, so each
-    disjunct's D32 lies in [O, fl32(O + fl32(lam p_ua))], and the DNF min of
-    the D32s lies between the mins of the two ends.
-    """
-    parts = []
-    for trig in trigs:
-        cu, su, cl, sl, ca, sa = (x.astype(np.float32) for x in trig)
-        table = _tiled_distance([x[:, None, :] for x in (cu, su, cl, sl)],
-                                cos32[None], sin32[None], None)
-        p_ua = _chord_l1(cu, su, ca, sa, np.empty_like(cu), np.empty_like(cu))
-        parts.append(Outside32(table, p_ua, ca, sa))
-    return parts
-
-
-def staged_distance32(parts: Sequence[Outside32], rows, ids, cos32, sin32, lam: float):
-    """The float32 DNF distance D32 from row ``rows[k]`` of ``parts`` to
-    entity ``ids[k]`` of ``entity_table32``.
-
-    Per disjunct, O is read from its table and lam * min(p_a, p_ua) added,
-    with p_a one paired axis chord over the gathered float32 rows: the
-    kernel's float32 arithmetic for that entry.  The disjuncts' min is taken
-    as ``dnf_entity_distance`` takes it.  ``table32_error_bound`` bounds
-    each value's distance to the float64 one.  The pairs run in blocks of
-    at most ``_TILE_BYTES`` per gathered (pairs, d) array, so the memory a
-    call takes does not grow with the number of pairs.
-    """
-    lam = float(lam)
-    step = max(1, _TILE_BYTES // (cos32.itemsize * cos32.shape[1]))
-    dist = np.empty(len(ids), np.float32)
-    for lo in range(0, len(ids), step):
-        rows_b, ids_b = rows[lo:lo + step], ids[lo:lo + step]
-        ce, se = cos32[ids_b], sin32[ids_b]
-        buf, tmp = np.empty_like(ce), np.empty_like(ce)
-        best = None
-        for part in parts:
-            p_a = _chord_l1(part.axis_cos[rows_b], part.axis_sin[rows_b], ce, se, buf, tmp)
-            p_ua = part.p_ua[rows_b]
-            out = part.table[rows_b, ids_b] + np.where(p_a <= p_ua, p_a, p_ua) * lam
-            # ad.minimum's choice, NaN included, so NaN entries match the float64 table's
-            best = out if best is None else np.where(best <= out, best, out)
-        dist[lo:lo + step] = best
-    return dist
-
-
-#: Unit roundoff of float32.
-_U32 = 2.0 ** -24
-
-
-def table32_error_bound(d: int, lam: float) -> tuple[float, float]:
-    """(c0, c1) with |D32 - D64| <= c0 + c1 * D32 for every computed D32 of
-    ``staged_distance32`` and the float64 ``dnf_entity_distance`` D64 of
-    the same (query, entity): c0 = 8 d u (1 + lam), c1 = 2 (d + 4) u, with
-    u = 2^-24 and finite lam >= 0, for any summation order of the row sums.  It
-    bounds computed D32 values only: the ends of ``outside_tables32``'s
-    bracket are not distances, and a ranker that decides an entity from
-    them compares the D32 they bracket.
-
-    Both tables start from the same float64 trig values x, |x| <= 1; the
-    float32 one rounds each once, |fl32(x) - x| <= u.  Write g_n = n u / (1 -
-    n u) (Higham, *Accuracy and Stability of Numerical Algorithms*, §4.2) and
-    g'_n for float64's u' = 2^-53.
-
-    1. One chord L1 (p_u, p_l, p_a or p_ua) sums 2d terms |a - b| >= 0.
-       Rounding the inputs moves its exact value S by at most 2d * 2u = 4du.
-       In float32 each term is rounded once by the subtraction, once by the
-       pair add and at most d - 1 times by the row sum, in whatever order,
-       so the computed C32 is within g_{d+1} C^ of the exact sum C^ over
-       the rounded inputs.
-    2. A min of terms keeps both the relative and the absolute bound.
-    3. D32 = fl(O + fl(fl32(lam) * I)) adds one rounding to the outside
-       term and three to the inside term, so |D32 - D^| <= g_{d+4} D^, with
-       D^ = O^ + lam I^ the exact distance over rounded inputs and |D^ - D*|
-       <= 4du (1 + lam) for D* the exact one over the float64 inputs.  The
-       float64 kernel is the same arithmetic on D*'s inputs:
-       |D64 - D*| <= g'_{d+3} D*.
-    4. Together |D32 - D64| <= G D* + A with G = g_{d+4} + g'_{d+3} and
-       A = 4du (1 + lam)(1 + g_{d+4}); with D* <= (D32 + A) / (1 - G) this
-       is A / (1 - G) + G / (1 - G) D32.  For (d + 4) u <= 1/100 these are
-       below 1.03 * 4du (1 + lam) and 1.03 (d + 4) u, so c0 and c1 hold
-       with about 2x to spare, which also covers the float64 rounding of
-       thresholds built from them.
-    5. If every disjunct's entry keeps |x' - x| <= c0 + c1 x', so does their
-       min, because t -> t -/+ (c0 + c1 t) is increasing.
-    """
-    lam = float(lam)
-    if not 0.0 <= lam < math.inf:
-        raise ValueError("lambda must be non-negative and finite")
-    if (d + 4) * _U32 > 0.01:
-        raise ValueError(f"d={d} is too large for the float32 distance table's bound")
-    return 8 * d * _U32 * (1.0 + lam), 2 * (d + 4) * _U32
 
 
 def margin_loss(pos_dist, neg_dist, margin: float):

@@ -313,12 +313,6 @@ class KnowledgeGraph:
         """All (head, relation) pairs with an edge into ``tail``."""
         return self._incoming.get(tail, ())
 
-    def has_triple(self, h: int, r: int, t: int) -> bool:
-        return t in self._out.get((h, r), ())
-
-    def __len__(self) -> int:
-        return len(self.triples)
-
 
 #: A compiled answerer: maps (anchors, relations, graph) to the answer set.
 Answerer = Callable[[Sequence[int], Sequence[int], KnowledgeGraph], frozenset[int]]

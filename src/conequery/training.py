@@ -24,6 +24,7 @@ from itertools import chain
 import numpy as np
 
 from . import autodiff as ad
+from .evaluation import evaluate_instances
 from .model import ROTATION_MODES, ModelParams, ParameterStore, _drop_workspace, batch_loss
 from .queries import ALL_STRUCTURES, KnowledgeGraph, QueryInstance, sample_instance
 
@@ -582,8 +583,6 @@ def _train_loop(state: TrainState, pools, tags, cfg: TrainingConfig, valid_insta
             save_checkpoint(os.path.join(out_dir, "last.ckpt"), state)
 
         if valid_instances and state.step % cfg.eval_every == 0:
-            from .evaluation import evaluate_instances
-
             t0 = time.perf_counter()
             report = evaluate_instances(state.store, valid_instances, lam=cfg.lam,
                                         threads=cfg.threads)
@@ -729,7 +728,6 @@ def multi_seed(train_instances, test_instances, n_entities: int, n_relations: in
     of test MRR per structure (plus the AVG row)."""
     if n_seeds < 2:
         raise ValueError("need at least two seeds to report a spread")
-    from .evaluation import evaluate_instances
 
     rows: list[dict[str, float]] = []
     for i in range(n_seeds):
@@ -807,7 +805,7 @@ def gradient_check_model(n_instances: int = 20, d: int = 8, seed: int = 0) -> fl
             return batch_loss(m, tag, anchors, rels, pos, neg, lam, margin)
 
         # Only entity rows the instance references can influence the loss.
-        rows = np.unique(np.concatenate([anchors.ravel(), pos, neg.ravel()]))
+        rows = _distinct(np.concatenate([anchors.ravel(), pos, neg.ravel()]))
         entity_coords = (rows[:, None] * d + np.arange(d)).ravel()
         coords = [entity_coords if name == "entity_axis" else None for name in names]
         worst = max(worst, ad.grad_check(f, [store.arrays[n] for n in names],

@@ -215,6 +215,25 @@ class TestTrainEval:
         assert any(r.getMessage().startswith(message) for r in caplog.records)
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("stats, message", [
+        ({"n_relations": 8}, "no integer 'n_entities' entry"),
+        ({"n_entities": 200, "n_relations": "8"}, "no integer 'n_relations' entry"),
+        ([200, 8], "not a JSON object"),
+    ], ids=["missing-key", "string-value", "not-an-object"])
+    @pytest.mark.parametrize("command", ["train", "multi-seed"])
+    def test_malformed_stats_fails_cleanly(self, data_dir, tmp_path, capsys, caplog,
+                                           command, stats, message):
+        data = tmp_path / "data"
+        shutil.copytree(data_dir, data)
+        path = data / "stats.json"
+        path.write_text(json.dumps(stats), encoding="utf-8")
+        out = tmp_path / ("run" if command == "train" else "spread.tsv")
+        rc = main([command, "--data", str(data), "--out", str(out)] + TRAIN_FLAGS)
+        assert rc == 1
+        assert capsys.readouterr().out == ""
+        assert [r.getMessage() for r in caplog.records] == [f"{path}: {message}"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("case", sorted(MALFORMED_QUERY_FILES))
     def test_eval_rejects_records_that_miss_their_slots(self, run_dir, tmp_path,
                                                         caplog, case):

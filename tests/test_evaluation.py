@@ -6,15 +6,27 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from _helpers import cone_trigs, naive_filtered_rank, reference_structure_rollup
+from _helpers import (
+    cone_trigs,
+    naive_filtered_rank,
+    reference_entity_points,
+    reference_structure_rollup,
+)
 import conequery.evaluation as evaluation
 import conequery.model as model
+from conequery.cones import wrap_angle
 from conequery.evaluation import (
     NEGATION_STRUCTURES,
     RankedResult,
+    _entity_table32,
+    _outside_tables32,
     _rescore,
+    _staged_distance32,
     _structure_rollup,
+    _table32_error_bound,
     evaluate_instances,
     expected_random_mrr,
     expected_random_mrr_for,
@@ -27,14 +39,13 @@ from conequery.evaluation import (
     write_report_tsv,
 )
 from conequery.model import (
+    PI,
+    TWO_PI,
     ConeBatch,
     ParameterStore,
     dnf_entity_distance,
     embed_structure,
     entity_points,
-    entity_table32,
-    outside_tables32,
-    staged_distance32,
 )
 from conequery.planted import build_planted_kg
 from conequery.queries import ALL_STRUCTURES, KnowledgeGraph, QueryInstance, generate_dataset
@@ -306,10 +317,10 @@ def _ranks_over(instances, m, lam, table_of):
 def _staged_table32(m, disjuncts, lam):
     """The float32 D32 of every (query, entity) pair, as ``evaluate_instances``
     computes it when a pair is not settled by its bracket."""
-    cos32, sin32 = entity_table32(m)
-    parts = outside_tables32(cone_trigs(disjuncts), cos32, sin32)
+    cos32, sin32 = _entity_table32(m)
+    parts = _outside_tables32(cone_trigs(disjuncts), cos32, sin32)
     rows, ids = np.indices((len(disjuncts[0].axis), len(cos32))).reshape(2, -1)
-    return staged_distance32(parts, rows, ids, cos32, sin32, lam).reshape(-1, len(cos32))
+    return _staged_distance32(parts, rows, ids, cos32, sin32, lam).reshape(-1, len(cos32))
 
 
 @pytest.mark.parametrize("rows, lam", [  # the paper's lambda = 0.02 keeps the bare name
@@ -322,8 +333,12 @@ def test_evaluate_ranks_equal_float64_table_ranks(every_structure_set, monkeypat
     points = entity_points(m, np.arange(kg.n_entities))
     want = _ranks_over(instances, m, lam,
                        lambda disjuncts: dnf_entity_distance(_wide(disjuncts), points, lam))
-    for chunk in (3, 128):
+    # the last input's tile holds three float64 rows of d = 16: each answer
+    # compares in its own block, and the rescore runs three pairs a block
+    for chunk, tile_bytes in ((3, model._TILE_BYTES), (128, model._TILE_BYTES),
+                              (128, 3 * 16 * 8)):
         monkeypatch.setattr(evaluation, "_CHUNK", chunk)
+        monkeypatch.setattr(model, "_TILE_BYTES", tile_bytes)
         reports = [evaluate_instances(store, instances, lam=lam, threads=threads)
                    for threads in (1, 2)]
         for report in reports:
@@ -392,6 +407,104 @@ def test_wide_band_rescore_memory_stays_bounded():
     assert report.results[0].ranks == (n_entities,)  # every tie counts against the answer
     # one angle: the bracket settles no entity, and each is rescored in float64
     assert report.open_pairs == report.rescored_pairs == len(instances) * (n_entities - 1)
+
+
+# ---------------------------------------------------------------------------
+# the float32 ranking table
+# ---------------------------------------------------------------------------
+
+
+def _table_case(rng, d, n_disjuncts, batch=3, n_entities=8):
+    """Disjunct cones whose apertures mix 0, 2*pi and uniform draws, and a
+    store whose entity rows sit on some cone's axis, on its upper or lower
+    boundary, or anywhere."""
+    disjuncts = []
+    for _ in range(n_disjuncts):
+        kind = rng.integers(3, size=(batch, d))
+        aperture = np.select([kind == 0, kind == 1], [0.0, TWO_PI],
+                             rng.uniform(0.0, TWO_PI, size=(batch, d)))
+        disjuncts.append(ConeBatch(rng.uniform(-PI, PI, size=(batch, d)), aperture))
+    store = ParameterStore(n_entities, 1, d, seed=int(rng.integers(1 << 31)))
+    for row, angles in enumerate(store.arrays["entity_axis"]):
+        cone = disjuncts[rng.integers(n_disjuncts)]
+        q = rng.integers(batch)
+        offset = (0.0, 0.5, -0.5, None)[row % 4]
+        if offset is not None:
+            angles[:] = wrap_angle(cone.axis[q] + offset * cone.aperture[q])
+    return disjuncts, store.tensors()
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.sampled_from([1, 7, 64, 800]), lam=st.sampled_from([0.0, 0.02, 1.0]),
+       n_disjuncts=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_float32_table_within_its_error_bound(d, lam, n_disjuncts, seed):
+    # the D32 the ranker computes for every pair, and the bracket it decides
+    # most pairs by: O <= D32 <= fl32(O + fl32(lam p_ua)) per disjunct and
+    # after the DNF min
+    disjuncts, m = _table_case(np.random.default_rng(seed), d, n_disjuncts)
+    cos32, sin32 = _entity_table32(m)
+    parts = _outside_tables32(cone_trigs(disjuncts), cos32, sin32)
+    rows, ids = np.indices((3, 8)).reshape(2, -1)
+
+    def staged(parts):
+        return _staged_distance32(parts, rows, ids, cos32, sin32, lam).reshape(3, 8)
+
+    d32 = staged(parts)
+    wide = [ConeBatch(c.axis[:, None, :], c.aperture[:, None, :]) for c in disjuncts]
+    d64 = dnf_entity_distance(wide, entity_points(m, np.arange(8)), lam)
+    assert d32.dtype == np.float32 and d32.shape == d64.shape
+    c0, c1 = _table32_error_bound(d, lam)
+    assert np.all(np.abs(d32.astype(np.float64) - d64) <= c0 + c1 * d32.astype(np.float64))
+    lows, tops = [], []
+    for part in parts:
+        top = part.table + (part.p_ua * lam)[:, None]
+        assert part.table.dtype == top.dtype == np.float32
+        assert np.all(part.table <= staged([part])) and np.all(staged([part]) <= top)
+        lows.append(part.table)
+        tops.append(top)
+    assert np.all(np.min(lows, axis=0) <= d32) and np.all(d32 <= np.min(tops, axis=0))
+
+
+def test_staged_distance32_memory_does_not_grow_with_its_pairs():
+    # 64 blocks of pairs: beside its float32 output, a call holds a few
+    # gathered blocks, never a (pairs, d) array
+    d, batch, n_entities = 64, 4, 50
+    disjuncts, m = _table_case(np.random.default_rng(31), d, 2, batch, n_entities)
+    cos32, sin32 = _entity_table32(m)
+    parts = _outside_tables32(cone_trigs(disjuncts), cos32, sin32)
+    pairs = 64 * model._TILE_BYTES // (4 * d)
+    rows = np.arange(pairs) % batch
+    ids = np.arange(pairs) % n_entities
+    want = _staged_distance32(parts, rows[:batch * n_entities], ids[:batch * n_entities],
+                              cos32, sin32, 0.02)
+    tracemalloc.start()
+    try:
+        dist = _staged_distance32(parts, rows, ids, cos32, sin32, 0.02)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert dist.dtype == np.float32 and np.array_equal(dist[:batch * n_entities], want)
+    assert peak < dist.nbytes + 8 * model._TILE_BYTES
+
+
+def test_entity_table32_rounds_the_trig_of_every_wrapped_row():
+    # read from the wrapped table directly, equal to gather, wrap, trig, cast
+    store = ParameterStore(30, 4, 6, seed=0)
+    store.arrays["entity_axis"] += np.random.default_rng(6).integers(-3, 4, size=(30, 1)) * TWO_PI
+    m = store.tensors()
+    cos32, sin32 = _entity_table32(m)
+    _, cos, sin = reference_entity_points(m, np.arange(30))
+    assert cos32.dtype == sin32.dtype == np.float32
+    assert np.array_equal(cos32, cos.astype(np.float32))
+    assert np.array_equal(sin32, sin.astype(np.float32))
+
+
+def test_float32_table_bound_refuses_what_it_does_not_cover():
+    with pytest.raises(ValueError, match="non-negative"):
+        _table32_error_bound(8, -0.1)
+    with pytest.raises(ValueError, match="too large"):
+        _table32_error_bound(1 << 20, 0.02)
+
 
 
 # ---------------------------------------------------------------------------

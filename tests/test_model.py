@@ -31,16 +31,12 @@ from conequery.model import (
     embed_query,
     embed_structure,
     entity_points,
-    entity_table32,
     intersect_cones,
     margin_loss,
     negate_cone,
     nominal_cone,
-    outside_tables32,
     param_breakdown,
     project_cone,
-    staged_distance32,
-    table32_error_bound,
 )
 from conequery.queries import (
     ALL_STRUCTURES,
@@ -58,7 +54,6 @@ from _helpers import (
     angle_dist,
     composed_cone_entity_distance,
     composed_loss_and_grads,
-    cone_trigs,
     count_chords,
     per_input_intersect_cones,
     reference_dnf_entity_distance,
@@ -917,103 +912,6 @@ def test_distance_gradients_survive_the_next_call(disjuncts, bare):
     assert not np.array_equal(first[-1], second[-1])
     for g, copy in zip(first, kept):
         assert np.array_equal(g, copy)
-
-
-# ---------------------------------------------------------------------------
-# the float32 ranking table
-# ---------------------------------------------------------------------------
-
-
-def _table_case(rng, d, n_disjuncts, batch=3, n_entities=8):
-    """Disjunct cones whose apertures mix 0, 2*pi and uniform draws, and a
-    store whose entity rows sit on some cone's axis, on its upper or lower
-    boundary, or anywhere."""
-    disjuncts = []
-    for _ in range(n_disjuncts):
-        kind = rng.integers(3, size=(batch, d))
-        aperture = np.select([kind == 0, kind == 1], [0.0, TWO_PI],
-                             rng.uniform(0.0, TWO_PI, size=(batch, d)))
-        disjuncts.append(ConeBatch(rng.uniform(-PI, PI, size=(batch, d)), aperture))
-    store = ParameterStore(n_entities, 1, d, seed=int(rng.integers(1 << 31)))
-    for row, angles in enumerate(store.arrays["entity_axis"]):
-        cone = disjuncts[rng.integers(n_disjuncts)]
-        q = rng.integers(batch)
-        offset = (0.0, 0.5, -0.5, None)[row % 4]
-        if offset is not None:
-            angles[:] = wrap_angle(cone.axis[q] + offset * cone.aperture[q])
-    return disjuncts, store.tensors()
-
-
-@settings(max_examples=60, deadline=None)
-@given(d=st.sampled_from([1, 7, 64, 800]), lam=st.sampled_from([0.0, 0.02, 1.0]),
-       n_disjuncts=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
-def test_float32_table_within_its_error_bound(d, lam, n_disjuncts, seed):
-    # the D32 the ranker computes for every pair, and the bracket it decides
-    # most pairs by: O <= D32 <= fl32(O + fl32(lam p_ua)) per disjunct and
-    # after the DNF min
-    disjuncts, m = _table_case(np.random.default_rng(seed), d, n_disjuncts)
-    cos32, sin32 = entity_table32(m)
-    parts = outside_tables32(cone_trigs(disjuncts), cos32, sin32)
-    rows, ids = np.indices((3, 8)).reshape(2, -1)
-
-    def staged(parts):
-        return staged_distance32(parts, rows, ids, cos32, sin32, lam).reshape(3, 8)
-
-    d32 = staged(parts)
-    wide = [ConeBatch(c.axis[:, None, :], c.aperture[:, None, :]) for c in disjuncts]
-    d64 = dnf_entity_distance(wide, entity_points(m, np.arange(8)), lam)
-    assert d32.dtype == np.float32 and d32.shape == d64.shape
-    c0, c1 = table32_error_bound(d, lam)
-    assert np.all(np.abs(d32.astype(np.float64) - d64) <= c0 + c1 * d32.astype(np.float64))
-    lows, tops = [], []
-    for part in parts:
-        top = part.table + (part.p_ua * lam)[:, None]
-        assert part.table.dtype == top.dtype == np.float32
-        assert np.all(part.table <= staged([part])) and np.all(staged([part]) <= top)
-        lows.append(part.table)
-        tops.append(top)
-    assert np.all(np.min(lows, axis=0) <= d32) and np.all(d32 <= np.min(tops, axis=0))
-
-
-def test_staged_distance32_memory_does_not_grow_with_its_pairs():
-    # 64 blocks of pairs: beside its float32 output, a call holds a few
-    # gathered blocks, never a (pairs, d) array
-    d, batch, n_entities = 64, 4, 50
-    disjuncts, m = _table_case(np.random.default_rng(31), d, 2, batch, n_entities)
-    cos32, sin32 = entity_table32(m)
-    parts = outside_tables32(cone_trigs(disjuncts), cos32, sin32)
-    pairs = 64 * model._TILE_BYTES // (4 * d)
-    rows = np.arange(pairs) % batch
-    ids = np.arange(pairs) % n_entities
-    want = staged_distance32(parts, rows[:batch * n_entities], ids[:batch * n_entities],
-                             cos32, sin32, 0.02)
-    tracemalloc.start()
-    try:
-        dist = staged_distance32(parts, rows, ids, cos32, sin32, 0.02)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert dist.dtype == np.float32 and np.array_equal(dist[:batch * n_entities], want)
-    assert peak < dist.nbytes + 8 * model._TILE_BYTES
-
-
-def test_entity_table32_rounds_the_trig_of_every_wrapped_row():
-    # read from the wrapped table directly, equal to gather, wrap, trig, cast
-    store = toy_store()
-    store.arrays["entity_axis"] += np.random.default_rng(6).integers(-3, 4, size=(30, 1)) * TWO_PI
-    m = store.tensors()
-    cos32, sin32 = entity_table32(m)
-    _, cos, sin = reference_entity_points(m, np.arange(30))
-    assert cos32.dtype == sin32.dtype == np.float32
-    assert np.array_equal(cos32, cos.astype(np.float32))
-    assert np.array_equal(sin32, sin.astype(np.float32))
-
-
-def test_float32_table_bound_refuses_what_it_does_not_cover():
-    with pytest.raises(ValueError, match="non-negative"):
-        table32_error_bound(8, -0.1)
-    with pytest.raises(ValueError, match="too large"):
-        table32_error_bound(1 << 20, 0.02)
 
 
 # ---------------------------------------------------------------------------
